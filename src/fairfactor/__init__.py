@@ -41,7 +41,6 @@ from .forecasting import (
     predict_mortality,
 )
 from .linalg import (
-    EigenConvergenceError,
     RankDeficientError,
     nearest_orthonormal,
     principal_angle,

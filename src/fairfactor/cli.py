@@ -4,10 +4,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import pipeline
 from .config import ConfigError, load_config
 from .dataset import DataError
-from .linalg import EigenConvergenceError, RankDeficientError
+from .linalg import RankDeficientError
 from .optimizer import StepFailureError
 
 EXIT_OK = 0
@@ -55,8 +57,9 @@ def _classify(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
+    # LinAlgError and RankDeficientError subclass ValueError: test them first
     if isinstance(
-        exc, (EigenConvergenceError, RankDeficientError, StepFailureError, FloatingPointError)
+        exc, (np.linalg.LinAlgError, RankDeficientError, StepFailureError, FloatingPointError)
     ):
         return EXIT_NUMERICAL
     if isinstance(exc, ValueError):

@@ -92,7 +92,7 @@ class RunConfig:
 
     def __getattr__(self, key: str):
         try:
-            return self.values[key.replace("_", "_")]
+            return self.values[key]
         except KeyError:
             raise AttributeError(key) from None
 

@@ -5,7 +5,7 @@ the rank-r projector is loading @ loading.T / N. Fits are compared through
 projectors; raw loadings are only sign-normalized for stable serialization.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class Loading:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"loading must be 2-d, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("loading has non-finite entries")
         object.__setattr__(self, "matrix", m)
         n, r = m.shape
         gram = m.T @ m / n
@@ -152,14 +154,19 @@ def group_errors(data: GroupedPanel, loading: Loading) -> np.ndarray:
     return np.array([reconstruction_error(p.y, loading) for p in data.panels])
 
 
-def pairwise_unfairness(errors: np.ndarray) -> float:
-    """Sum of squared pairwise differences; (e1 - e2)^2 when K = 2."""
+def pairwise_unfairness(errors: np.ndarray):
+    """Sum of squared pairwise differences; (e1 - e2)^2 when K = 2.
+
+    Takes the K group errors along the last axis: a float for a (K,) vector,
+    an array of one value per row for a (B, K) batch.
+    """
     errors = np.asarray(errors, dtype=float)
-    total = 0.0
-    for k in range(len(errors)):
-        for kp in range(k + 1, len(errors)):
-            total += (errors[k] - errors[kp]) ** 2
-    return float(total)
+    K = errors.shape[-1]
+    total = np.zeros(errors.shape[:-1])
+    for k in range(K):
+        for kp in range(k + 1, K):
+            total += (errors[..., k] - errors[..., kp]) ** 2
+    return float(total) if total.ndim == 0 else total
 
 
 def unfairness(data: GroupedPanel, loading: Loading) -> float:
@@ -193,14 +200,3 @@ def fit_pca(data: GroupedPanel, r: int) -> FitResult:
         groups=data.groups,
     )
 
-
-def with_loading(data: GroupedPanel, fit: FitResult, loading: Loading) -> FitResult:
-    """Re-derive factors and error fields of a fit for a replacement loading."""
-    errors = group_errors(data, loading)
-    return replace(
-        fit,
-        loading=loading,
-        factors=tuple(FactorPath(p.group, p.y @ loading.matrix / loading.n) for p in data.panels),
-        group_errors=errors,
-        unfairness=pairwise_unfairness(errors),
-    )

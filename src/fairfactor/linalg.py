@@ -3,7 +3,6 @@
 import numpy as np
 
 __all__ = [
-    "EigenConvergenceError",
     "RankDeficientError",
     "top_r_eigs",
     "nearest_orthonormal",
@@ -14,80 +13,31 @@ _SYMMETRY_RTOL = 1e-10
 _RANK_RTOL = 1e-12
 
 
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass vanished."""
-
-
 class RankDeficientError(ValueError):
     """Numerically dependent columns; the orthonormal projection is undefined."""
-
-
-def _jacobi_eigh(S: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Row-cyclic pivot order, fixed sweep budget: the result is bit-reproducible
-    for a given input. Returns (eigenvalues descending, eigenvectors as columns).
-    """
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), V
-    scale = max(1.0, float(np.abs(A).max()))
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * float((np.triu(A, 1) ** 2).sum()))
-        if off <= 1e-14 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e100:  # theta**2 would overflow; use the series root
-                    t = 1.0 / (2.0 * theta)
-                elif theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vec_p, vec_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    else:
-        raise EigenConvergenceError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps (n={n})"
-        )
-    values = np.diag(A).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], V[:, order]
 
 
 def top_r_eigs(S: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of a symmetric matrix, eigenvalues in descending order.
 
-    Raises ValueError on a non-symmetric input or r outside [1, N], and
-    EigenConvergenceError if the sweep budget is exhausted.
+    The eigenpairs come from LAPACK's symmetric solver (numpy.linalg.eigh) on
+    the symmetrized input. Raises ValueError on a non-square or non-symmetric
+    input or r outside [1, N], and FloatingPointError on a non-finite entry,
+    on which LAPACK would return NaNs without complaint.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    if not np.isfinite(S).all():
+        raise FloatingPointError("matrix has non-finite entries")
     n = S.shape[0]
     asym = float(np.abs(S - S.T).max()) if n > 1 else 0.0
     if asym > _SYMMETRY_RTOL * max(1.0, float(np.abs(S).max())):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range [1, {n}]")
-    values, vectors = _jacobi_eigh(0.5 * (S + S.T))
-    return values[:r], vectors[:, :r]
+    values, vectors = np.linalg.eigh(0.5 * (S + S.T))
+    return values[::-1][:r], vectors[:, ::-1][:, :r]
 
 
 def nearest_orthonormal(A: np.ndarray) -> np.ndarray:

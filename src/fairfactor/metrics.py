@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import GroupedPanel
-from .optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
-from .transforms import DecisionTransform, apply_transform
+from .optimizer import OptimizerOptions, fit_fair_decision
+from .transforms import DecisionTransform, decision_errors
 
 __all__ = [
     "MetricsReport",
@@ -127,39 +127,18 @@ def _fold_indices(n: int, k: int, rng: np.random.Generator | None) -> list[np.nd
     return [np.sort(chunk) for chunk in np.array_split(order, k)]
 
 
-def _fit_for(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransform):
-    if g.kind == "identity":
-        return fit_fair_factor(data, r, opts)
-    return fit_fair_decision(data, r, opts, g)
-
-
 def _evaluate_fold(args):
+    """Fit on the rows outside one fold, then score the fold's rows: the mean
+    decision error per held-out row and the largest gap between groups."""
     data, r, opts, g, fold_sets = args
-    train_panels = []
-    valid_blocks = []
-    valid_rows = 0
-    gap_errors = []
+    train_panels, valid_panels = [], []
     for p, fold in zip(data.panels, fold_sets):
-        keep = np.setdiff1d(np.arange(p.n_years), fold)
-        train_panels.append(p.take_rows(keep))
-        valid_blocks.append((p.group, p.y[fold]))
-        valid_rows += len(fold)
-    fit = _fit_for(GroupedPanel(tuple(train_panels)), r, opts, g)
-    P = fit.loading.projector()
-    sq_total = 0.0
-    for group, block in valid_blocks:
-        observed = apply_transform(g, group, block)
-        predicted = apply_transform(g, group, block @ P)
-        diff = predicted - observed
-        sq = float((diff * diff).sum())
-        sq_total += sq
-        gap_errors.append(sq / len(block))
-    gaps = [
-        abs(gap_errors[i] - gap_errors[j])
-        for i in range(len(gap_errors))
-        for j in range(i + 1, len(gap_errors))
-    ]
-    return sq_total / valid_rows, max(gaps)
+        train_panels.append(p.take_rows(np.setdiff1d(np.arange(p.n_years), fold)))
+        valid_panels.append(p.take_rows(fold))
+    fit = fit_fair_decision(GroupedPanel(tuple(train_panels)), r, opts, g)
+    valid = GroupedPanel(tuple(valid_panels))
+    errors = decision_errors(valid, fit.loading, g)
+    return float(errors @ valid.group_rows) / valid.total_rows, float(errors.max() - errors.min())
 
 
 def cross_validate_lambda(

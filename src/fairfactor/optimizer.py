@@ -28,9 +28,7 @@ from .factor import (
     Loading,
     fit_pca,
     fix_column_signs,
-    group_errors,
     pairwise_unfairness,
-    reconstruction_error,
 )
 from .linalg import RankDeficientError, nearest_orthonormal
 from .transforms import (
@@ -38,8 +36,9 @@ from .transforms import (
     DecisionTransform,
     apply_transform,
     decision_errors,
-    epv_matrix,
-    epv_weights_stack,
+    decision_residual,
+    epv_weight_bands,
+    identity_transform,
 )
 
 __all__ = [
@@ -113,8 +112,9 @@ def random_loading(rng: np.random.Generator, n: int, r: int) -> Loading:
             continue
 
 
-def _combine(errors: np.ndarray, rows: np.ndarray, total_rows: int, penalty: float) -> float:
-    return float(errors @ rows) / total_rows + penalty * pairwise_unfairness(errors)
+def _combine(errors: np.ndarray, rows: np.ndarray, total_rows: int, penalty: float):
+    """Penalized objective of (K,) group errors, or one per row of a (B, K) batch."""
+    return errors @ rows / total_rows + penalty * pairwise_unfairness(errors)
 
 
 def _penalized_gradient(
@@ -128,26 +128,35 @@ def _penalized_gradient(
     return out
 
 
-class _FactorProblem:
-    """Reconstruction errors in the substituted trace form, from Gram matrices."""
+class _Problem:
+    """Penalized objective and gradient from a subclass's per-group errors:
+    errors_batch for a (B, N, r) stack of candidates, and errors_and_grads."""
 
     def __init__(self, data: GroupedPanel, penalty: float):
         self.penalty = penalty
         self.N = data.n_ages
         self.rows = data.group_rows
         self.total_rows = data.total_rows
+
+    def errors(self, loading: Loading) -> np.ndarray:
+        return self.errors_batch(loading.matrix[None])[0]
+
+    def objective(self, loading: Loading) -> float:
+        return _combine(self.errors(loading), self.rows, self.total_rows, self.penalty)
+
+    def gradient(self, loading: Loading) -> np.ndarray:
+        errors, grads = self.errors_and_grads(loading)
+        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
+
+
+class _FactorProblem(_Problem):
+    """Reconstruction errors in the substituted trace form, from Gram matrices."""
+
+    def __init__(self, data: GroupedPanel, penalty: float):
+        super().__init__(data, penalty)
         self.grams = [p.y.T @ p.y for p in data.panels]
         self.sq = [float((p.y**2).sum()) for p in data.panels]
         self.Y = data.stacked()
-
-    def errors(self, loading: Loading) -> np.ndarray:
-        M = loading.matrix
-        return np.array(
-            [
-                (self.sq[k] - float((M * (self.grams[k] @ M)).sum()) / self.N) / self.rows[k]
-                for k in range(len(self.grams))
-            ]
-        )
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
         """(B, K) errors for a (B, N, r) stack of candidate loadings."""
@@ -158,27 +167,37 @@ class _FactorProblem:
         return out
 
     def errors_and_grads(self, loading: Loading):
-        M = loading.matrix
-        errors, grads = [], []
-        for k, gram in enumerate(self.grams):
-            GM = gram @ M
-            errors.append((self.sq[k] - float((M * GM).sum()) / self.N) / self.rows[k])
-            grads.append((-2.0 / (self.rows[k] * self.N)) * GM)
-        return np.array(errors), grads
-
-    def objective(self, loading: Loading) -> float:
-        return _combine(self.errors(loading), self.rows, self.total_rows, self.penalty)
-
-    def gradient(self, loading: Loading) -> np.ndarray:
-        errors, grads = self.errors_and_grads(loading)
-        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
+        grads = [(-2.0 / (t * self.N)) * (gram @ loading.matrix) for t, gram in zip(self.rows, self.grams)]
+        return self.errors(loading), grads
 
     def stop_signal(self, loading: Loading) -> np.ndarray:
         return (self.Y @ loading.matrix) @ loading.matrix.T / self.N
 
 
-class _DecisionProblem:
-    """Decision errors for a transform g, with the matching analytic gradients.
+def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W_t x_t for every row t, through the band of W (see epv_weight_bands).
+
+    x is (..., T, N), with any leading candidate axes; the result is
+    (..., T, width).
+    """
+    width = band.shape[1]
+    out = np.zeros(x.shape[:-1] + (width,))
+    for j in range(band.shape[2]):
+        out += band[:, :, j] * x[..., j : j + width]
+    return out
+
+
+def _band_adjoint(band: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """W_t^T z_t for every row t of a (T, width) array; the result is (T, n)."""
+    width = band.shape[1]
+    out = np.zeros((z.shape[0], n))
+    for j in range(band.shape[2]):
+        out[:, j : j + width] += band[:, :, j] * z
+    return out
+
+
+class _DecisionProblem(_Problem):
+    """Decision errors for a non-identity transform g, with the matching analytic gradients.
 
     Per sample the gradient of ||g(L L^T y / N) - g(y)||^2 is
     (2/N) [z y^T L + y z^T L] with z = g'(recon) * (g(recon) - g(y)); group
@@ -188,32 +207,16 @@ class _DecisionProblem:
     """
 
     def __init__(self, data: GroupedPanel, g: DecisionTransform, penalty: float):
+        super().__init__(data, penalty)
         self.g = g
-        self.penalty = penalty
-        self.N = data.n_ages
-        self.rows = data.group_rows
-        self.total_rows = data.total_rows
-        self.panels = data.panels
+        self.groups = data.groups
         self.ys = [p.y for p in data.panels]
+        self.taylor = g.kind == "annuity" and g.annuity_mode == "taylor"
         if g.kind == "annuity":
             self.intercepts = [g.intercept_for(p.group) for p in data.panels]
-            self.m_obs = [
-                np.clip(np.exp(p.y + a), 0.0, 1.0) for p, a in zip(data.panels, self.intercepts)
-            ]
-            if g.annuity_mode == "taylor":
-                # band-compact weights: row i of W_t is nonzero in columns i..i+n-2
-                dense = [epv_weights_stack(m, g.term, g.discount) for m in self.m_obs]
-                width = dense[0].shape[1]
-                rows_idx = np.arange(width)[:, None]
-                cols = rows_idx + np.arange(max(g.term - 1, 0))[None, :]
-                self.bands = [W[:, rows_idx, cols] for W in dense]
-            self.epv_obs = [epv_matrix(m, g.term, g.discount) for m in self.m_obs]
-        elif g.kind == "elementwise":
-            func, deriv = g.funcs()
-            self.func, self.deriv = func, deriv
-            self.g_obs = [func(p.y) for p in data.panels]
-        else:  # identity
-            self.g_obs = [p.y for p in data.panels]
+        if self.taylor:
+            self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
+            self.bands = [epv_weight_bands(m, g.term, g.discount) for m in self.m_obs]
 
     def _recon(self, k: int, M: np.ndarray) -> np.ndarray:
         return (self.ys[k] @ M) @ M.T / self.N
@@ -221,55 +224,31 @@ class _DecisionProblem:
     def _error_parts(self, k: int, M: np.ndarray):
         """Return (error_k, Z_k) where Z_k stacks the per-sample z vectors."""
         recon = self._recon(k, M)
-        if self.g.kind == "identity":
-            e = recon - self.g_obs[k]
-            return float((e * e).sum()) / self.rows[k], e
-        if self.g.kind == "elementwise":
-            g_recon = self.func(recon)
-            e = g_recon - self.g_obs[k]
-            return float((e * e).sum()) / self.rows[k], self.deriv(recon) * e
-        m_recon = np.exp(recon + self.intercepts[k])
-        if self.g.annuity_mode == "taylor":
-            e = m_recon - self.m_obs[k]
-            band = self.bands[k]
-            width = band.shape[1]
-            we = np.zeros((e.shape[0], width))
-            for j in range(band.shape[2]):
-                we += band[:, :, j] * e[:, j : j + width]
-            u = np.zeros_like(e)  # W^T W e through the band
-            for j in range(band.shape[2]):
-                u[:, j : j + width] += band[:, :, j] * we
+        if self.taylor:
+            m_recon = np.exp(recon + self.intercepts[k])
+            we = _band_apply(self.bands[k], m_recon - self.m_obs[k])
+            u = _band_adjoint(self.bands[k], we, self.N)  # W^T W e
             return float((we * we).sum()) / self.rows[k], m_recon * u
+        d = decision_residual(self.g, self.groups[k], self.ys[k], recon)
+        error = float((d * d).sum()) / self.rows[k]
+        if self.g.kind == "elementwise":
+            return error, self.g.funcs()[1](recon) * d
+        m_recon = np.exp(recon + self.intercepts[k])
         inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
-        m_clip = np.clip(m_recon, 0.0, 1.0)
-        d = epv_matrix(m_clip, self.g.term, self.g.discount) - self.epv_obs[k]
-        W = epv_weights_stack(m_clip, self.g.term, self.g.discount)
-        u = np.matmul(W.transpose(0, 2, 1), d[:, :, None])[:, :, 0]  # W(m_recon)^T d
-        return float((d * d).sum()) / self.rows[k], np.where(inside, m_recon, 0.0) * u
-
-    def errors(self, loading: Loading) -> np.ndarray:
-        M = loading.matrix
-        return np.array([self._error_parts(k, M)[0] for k in range(len(self.ys))])
+        bands = epv_weight_bands(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
+        u = _band_adjoint(bands, d, self.N)  # W(m_recon)^T d
+        return error, np.where(inside, m_recon, 0.0) * u
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
+        """(B, K) errors for a (B, N, r) stack of candidate loadings."""
         out = np.empty((stack.shape[0], len(self.ys)))
         for k, Y in enumerate(self.ys):
             C = np.matmul(Y, stack)  # (B, T, r)
             recon = np.matmul(C, stack.transpose(0, 2, 1)) / self.N  # (B, T, N)
-            if self.g.kind == "identity":
-                e = recon - Y[None]
-            elif self.g.kind == "elementwise":
-                e = self.func(recon) - self.g_obs[k][None]
-            elif self.g.annuity_mode == "taylor":
-                diff = np.exp(recon + self.intercepts[k]) - self.m_obs[k][None]
-                band = self.bands[k]
-                width = band.shape[1]
-                e = np.zeros((stack.shape[0], diff.shape[1], width))
-                for j in range(band.shape[2]):
-                    e += band[None, :, :, j] * diff[:, :, j : j + width]
-            else:  # exact pricing has no batched form; fall back per candidate
-                out[:, k] = [self._error_parts(k, stack[b])[0] for b in range(stack.shape[0])]
-                continue
+            if self.taylor:
+                e = _band_apply(self.bands[k], np.exp(recon + self.intercepts[k]) - self.m_obs[k])
+            else:
+                e = decision_residual(self.g, self.groups[k], Y, recon)
             out[:, k] = (e * e).sum(axis=(1, 2)) / self.rows[k]
         return out
 
@@ -283,27 +262,22 @@ class _DecisionProblem:
             grads.append((2.0 / (self.rows[k] * self.N)) * (C @ M))
         return np.array(errors), grads
 
-    def objective(self, loading: Loading) -> float:
-        return _combine(self.errors(loading), self.rows, self.total_rows, self.penalty)
-
-    def gradient(self, loading: Loading) -> np.ndarray:
-        errors, grads = self.errors_and_grads(loading)
-        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
-
     def stop_signal(self, loading: Loading) -> np.ndarray:
         M = loading.matrix
-        blocks = []
-        for k, p in enumerate(self.panels):
-            blocks.append(apply_transform(self.g, p.group, self._recon(k, M)))
+        blocks = [apply_transform(self.g, group, self._recon(k, M)) for k, group in enumerate(self.groups)]
         return np.vstack(blocks)
+
+
+def _problem(data: GroupedPanel, g: DecisionTransform, penalty: float):
+    """The identity decision error is the reconstruction error: fit it in trace form."""
+    if g.kind == "identity":
+        return _FactorProblem(data, penalty)
+    return _DecisionProblem(data, g, penalty)
 
 
 def fair_factor_objective(data: GroupedPanel, loading: Loading, penalty: float) -> float:
     """Reconstruction error of the stacked panel plus the pairwise parity penalty."""
-    if penalty < 0.0:
-        raise ValueError("penalty must be non-negative")
-    total = reconstruction_error(data.stacked(), loading)
-    return total + penalty * pairwise_unfairness(group_errors(data, loading))
+    return fair_decision_objective(data, loading, penalty, identity_transform())
 
 
 def fair_factor_gradient(data: GroupedPanel, loading: Loading, penalty: float) -> np.ndarray:
@@ -312,9 +286,7 @@ def fair_factor_gradient(data: GroupedPanel, loading: Loading, penalty: float) -
     Equals -(2/(T N)) Y^T Y L plus, per group pair, the parity chain-rule term
     4 * penalty * (err_k - err_k') * (G_k' L / (T_k' N) - G_k L / (T_k N)).
     """
-    if penalty < 0.0:
-        raise ValueError("penalty must be non-negative")
-    return _FactorProblem(data, penalty).gradient(loading)
+    return fair_decision_gradient(data, loading, penalty, identity_transform())
 
 
 def fair_decision_objective(
@@ -327,8 +299,7 @@ def fair_decision_objective(
     """
     if penalty < 0.0:
         raise ValueError("penalty must be non-negative")
-    errors = decision_errors(data, loading, g)
-    return _combine(errors, data.group_rows, data.total_rows, penalty)
+    return _combine(decision_errors(data, loading, g), data.group_rows, data.total_rows, penalty)
 
 
 def annuity_taylor_objective(
@@ -356,7 +327,7 @@ def fair_decision_gradient(
     """
     if penalty < 0.0:
         raise ValueError("penalty must be non-negative")
-    return _DecisionProblem(data, g, penalty).gradient(loading)
+    return _problem(data, g, penalty).gradient(loading)
 
 
 def line_search(objective, loading: Loading, direction: np.ndarray, opts: OptimizerOptions, _scale: float = 1.0):
@@ -435,12 +406,7 @@ def _grid_step(
         raise StepFailureError("all grid steps were rank-deficient")
     projected = np.sqrt(L.shape[0]) * np.einsum("bij,bjk->bik", u, vt)
     errors = problem.errors_batch(projected)
-    values = errors @ (problem.rows / problem.total_rows)
-    if problem.penalty:
-        K = errors.shape[1]
-        for i in range(K):
-            for j in range(i + 1, K):
-                values = values + problem.penalty * (errors[:, i] - errors[:, j]) ** 2
+    values = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
     values = np.where(valid & np.isfinite(values), values, np.inf)
     best = int(np.argmin(values))
     if values[best] > current + _IMPROVEMENT_TOL:
@@ -517,11 +483,11 @@ def _pgd(problem, start: Loading, opts: OptimizerOptions) -> _RunState:
     return _RunState(loading, obj, trace, log, iterations, converged)
 
 
-def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, problem, counter: ClipCounter | None, g: DecisionTransform | None) -> FitResult:
-    Y = data.stacked()
-    T, N = Y.shape
-    if not 1 <= r <= min(N, T):
-        raise ValueError(f"r={r} out of range [1, {min(N, T)}]")
+def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransform) -> FitResult:
+    N = data.n_ages
+    if not 1 <= r <= min(N, data.total_rows):
+        raise ValueError(f"r={r} out of range [1, {min(N, data.total_rows)}]")
+    problem = _problem(data, g, opts.penalty)
     pca = fit_pca(data, r)
     rng = np.random.default_rng(opts.seed)
     starts = [pca.loading] + [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
@@ -532,10 +498,8 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, problem, counter: C
             best = run
     assert best is not None
     loading = Loading(fix_column_signs(best.loading.matrix))
-    if g is None:
-        errors = group_errors(data, loading)
-    else:
-        errors = decision_errors(data, loading, g, counter)
+    counter = ClipCounter()
+    errors = decision_errors(data, loading, g, counter)
     return FitResult(
         loading=loading,
         factors=tuple(FactorPath(p.group, p.y @ loading.matrix / N) for p in data.panels),
@@ -547,7 +511,7 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, problem, counter: C
         degenerate_spectrum=pca.degenerate_spectrum,
         groups=data.groups,
         iteration_log=tuple(best.log),
-        clipped_rates=counter.clipped if counter is not None else 0,
+        clipped_rates=counter.clipped,
     )
 
 
@@ -559,7 +523,7 @@ def fit_fair_factor(data: GroupedPanel, r: int, opts: OptimizerOptions) -> FitRe
     reconstruction Y L L^T / N drops below convergence_epsilon, when the
     objective stagnates, or at max_iterations (converged=False).
     """
-    return _fit(data, r, opts, _FactorProblem(data, opts.penalty), None, None)
+    return _fit(data, r, opts, identity_transform())
 
 
 def fit_fair_decision(
@@ -570,8 +534,7 @@ def fit_fair_decision(
     Same scheme as the fair-factor fit with the transform-aware gradient; the
     stopping rule tracks the relative change of g applied to reconstructions.
     The returned group_errors are the exact per-group decision errors, also
-    when the annuity fit optimizes the taylor surrogate.
+    when the annuity fit optimizes the taylor surrogate. With g = identity
+    this is the fair-factor fit.
     """
-    counter = ClipCounter()
-    problem = _DecisionProblem(data, g, opts.penalty)
-    return _fit(data, r, opts, problem, counter, g)
+    return _fit(data, r, opts, g)

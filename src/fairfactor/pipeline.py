@@ -167,24 +167,16 @@ def fit_model(config: RunConfig, model: str, train: GroupedPanel, penalty: float
     return fit_fair_decision(train, config.r, opts, g)
 
 
-def forecast_for_fit(config: RunConfig, data: PreparedData, fit: FitResult, horizon: int):
+def fit_and_forecast(config: RunConfig, data: PreparedData, model: str, penalty: float, horizon: int):
+    """Fit a model on the training window and forecast its rates `horizon` years on.
+
+    Returns (fit, forecast result, per-group factor models).
+    """
+    fit = fit_model(config, model, data.train, penalty)
     models = fit_factor_models(fit)
     intercepts = {p.group: p.intercept for p in data.train.panels}
     scales = {p.group: p.scale for p in data.train.panels}
-    result = predict_mortality(fit, models, intercepts, horizon, scales=scales)
-    return result, models
-
-
-def forecast_years(data: PreparedData, horizon: int) -> dict[str, np.ndarray]:
-    return {
-        p.group: p.years[-1] + 1 + np.arange(horizon) for p in data.train.panels
-    }
-
-
-def resolve_horizon(config: RunConfig, data: PreparedData) -> int:
-    if config.horizon > 0:
-        return config.horizon
-    return min(p.n_years for p in data.test.panels)
+    return fit, predict_mortality(fit, models, intercepts, horizon, scales=scales), models
 
 
 def tidy_metric_rows(model: str, report: MetricsReport, ages, years_by_group) -> list[str]:
@@ -210,50 +202,67 @@ def evaluate_model(
 ):
     """Fit, forecast over the test window, and score mortality plus EPVs.
 
-    Returns (fit, mortality_report, epv_report, rate_forecasts, epv_actual,
-    epv_predicted). With predicted_rates given, skips fitting (fit is None).
+    Returns (fit, mortality_report, epv_report). With predicted_rates given
+    (per-group matrices over the test window), skips fitting (fit is None).
     """
     horizon = min(p.n_years for p in data.test.panels)
     actual_rates = {p.group: p.rates()[:horizon] for p in data.test.panels}
     fit = None
     if predicted_rates is None:
-        fit = fit_model(config, model, data.train, penalty)
-        forecasted, _ = forecast_for_fit(config, data, fit, horizon)
+        fit, forecasted, _ = fit_and_forecast(config, data, model, penalty, horizon)
         predicted_rates = forecasted.rates
-    else:
-        predicted_rates = {g: m[:horizon] for g, m in predicted_rates.items()}
     mortality = metrics(actual_rates, predicted_rates, "mortality")
     epv_actual = {g: epv_matrix(m, config.term, config.discount) for g, m in actual_rates.items()}
     epv_pred = {g: epv_matrix(m, config.term, config.discount) for g, m in predicted_rates.items()}
-    epv_report = metrics(epv_actual, epv_pred, "epv")
-    return fit, mortality, epv_report, predicted_rates, epv_actual, epv_pred
+    return fit, mortality, metrics(epv_actual, epv_pred, "epv")
+
+
+def write_scores(
+    config: RunConfig,
+    data: PreparedData,
+    writer: ArtifactWriter,
+    penalties: dict[str, float],
+    predictions: str = "",
+):
+    """Score each model of `penalties` (model -> fairness penalty) over the
+    test window and write metrics.csv and metrics.json.
+
+    With a predictions file, its rates are scored in place of a fit. Returns
+    ({model: {"mortality": report, "epv": report}}, convergence records).
+    """
+    horizon = min(p.n_years for p in data.test.panels)
+    ages = data.train.panels[0].ages
+    years_by_group = {p.group: p.years[:horizon] for p in data.test.panels}
+    start_ages = ages[: epv_width(len(ages), config.term)]
+    predicted = read_rates_csv(predictions, years_by_group, ages) if predictions else None
+    reports: dict[str, dict[str, MetricsReport]] = {}
+    tidy_rows: list[str] = []
+    convergence: list[dict] = []
+    for model, penalty in penalties.items():
+        fit, mortality, epv_report = evaluate_model(config, data, model, penalty, predicted)
+        reports[model] = {"mortality": mortality, "epv": epv_report}
+        tidy_rows += tidy_metric_rows(model, mortality, ages, years_by_group)
+        tidy_rows += tidy_metric_rows(model, epv_report, start_ages, years_by_group)
+        if fit is not None:
+            convergence += [{"model": model, **record} for record in fit.iteration_log]
+    writer.write_text_rows("metrics.csv", "model,quantity,group,scope,key,value", tidy_rows)
+    writer.write_json(
+        "metrics.json",
+        {"reports": {m: {q: r.to_json_dict() for q, r in by_q.items()} for m, by_q in reports.items()}},
+    )
+    return reports, convergence
 
 
 def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, MetricsReport]]:
     """Full pipeline for the three models; emits the two summary tables,
     the tidy metric series, and the optimizer convergence stream."""
     data = load_panels(config)
-    horizon = min(p.n_years for p in data.test.panels)
-    ages = data.train.panels[0].ages
-    years_by_group = {p.group: p.years[:horizon] for p in data.test.panels}
-    start_ages = ages[: epv_width(len(ages), config.term)]
-
     penalties = {
         "factor": 0.0,
         "fair-factor": config.repro_lambda_factor,
         "fair-decision": config.repro_lambda_decision,
     }
-    reports: dict[str, dict[str, MetricsReport]] = {}
-    tidy_rows: list[str] = []
-    convergence: list[dict] = []
-    for model in MODEL_ORDER:
-        fit, mortality, epv_report, _, _, _ = evaluate_model(config, data, model, penalties[model])
-        reports[model] = {"mortality": mortality, "epv": epv_report}
-        tidy_rows += tidy_metric_rows(model, mortality, ages, years_by_group)
-        tidy_rows += tidy_metric_rows(model, epv_report, start_ages, years_by_group)
-        if fit is not None:
-            for record in fit.iteration_log:
-                convergence.append({"model": model, **record})
+    reports, convergence = write_scores(config, data, writer, penalties)
 
     def table_rows(quantity: str) -> list[str]:
         rows = []
@@ -268,16 +277,6 @@ def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, 
     group_header = ",".join(f"rmse_{g}" for g in reports["factor"]["mortality"].groups)
     writer.write_text_rows("table1.csv", f"model,{group_header},difference,total", table_rows("mortality"))
     writer.write_text_rows("table2.csv", f"model,{group_header},difference,total", table_rows("epv"))
-    writer.write_text_rows("metrics.csv", "model,quantity,group,scope,key,value", tidy_rows)
-    writer.write_json(
-        "metrics.json",
-        {
-            "reports": {
-                model: {q: reports[model][q].to_json_dict() for q in ("mortality", "epv")}
-                for model in MODEL_ORDER
-            }
-        },
-    )
     writer.write_jsonl("convergence.jsonl", convergence)
     return reports
 
@@ -369,12 +368,19 @@ def rates_csv_rows(rates: dict[str, np.ndarray], years_by_group, labels) -> list
     return rows
 
 
-def run_forecast(config: RunConfig, writer: ArtifactWriter):
+def _forecast_configured(config: RunConfig):
+    """Load, fit and forecast the configured model over `horizon` years (the
+    test window's length when 0). Returns (prepared data, forecast result,
+    per-group factor models, forecast years per group)."""
     data = load_panels(config)
-    horizon = resolve_horizon(config, data)
-    fit = fit_model(config, config.model, data.train, config.values["lambda"])
-    forecasted, models = forecast_for_fit(config, data, fit, horizon)
-    years = forecast_years(data, horizon)
+    horizon = config.horizon if config.horizon > 0 else min(p.n_years for p in data.test.panels)
+    _, forecasted, models = fit_and_forecast(config, data, config.model, config.values["lambda"], horizon)
+    years = {p.group: p.years[-1] + 1 + np.arange(horizon) for p in data.train.panels}
+    return data, forecasted, models, years
+
+
+def run_forecast(config: RunConfig, writer: ArtifactWriter):
+    data, forecasted, models, years = _forecast_configured(config)
     ages = data.train.panels[0].ages
     writer.write_text_rows(
         "forecast_rates.csv", "group,year,age,value", rates_csv_rows(forecasted.rates, years, ages)
@@ -392,15 +398,11 @@ def run_forecast(config: RunConfig, writer: ArtifactWriter):
 
 
 def run_price(config: RunConfig, writer: ArtifactWriter):
-    data = load_panels(config)
-    horizon = resolve_horizon(config, data)
-    fit = fit_model(config, config.model, data.train, config.values["lambda"])
-    forecasted, _ = forecast_for_fit(config, data, fit, horizon)
+    data, forecasted, _, years = _forecast_configured(config)
     g = annuity_transform_for(
         data.train, term=config.term, discount=config.discount, annuity_mode=config.annuity_mode
     )
     epvs = predict_epv(forecasted.rates, g)
-    years = forecast_years(data, horizon)
     ages = data.train.panels[0].ages
     start_ages = ages[: epv_width(len(ages), config.term)]
     writer.write_text_rows(
@@ -409,50 +411,40 @@ def run_price(config: RunConfig, writer: ArtifactWriter):
     return epvs
 
 
-def read_rates_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a group,year,age,value file back into per-group matrices."""
+def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
+    """Read a group,year,age,value file into per-group matrices over the
+    given years (rows) and ages (columns).
+
+    A malformed or duplicate row, a non-finite value, or a missing cell is a
+    DataError; cells outside the given years and ages are ignored.
+    """
     cells: dict[str, dict[tuple[int, int], float]] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("group,"):
                 continue
-            group, year, age, value = line.split(",")
-            cells.setdefault(group, {})[(int(year), int(age))] = float(value)
+            try:
+                group, year, age, value = line.split(",")
+                key, rate = (int(year), int(age)), float(value)
+            except ValueError:
+                raise DataError(f"{path} line {lineno}: expected group,year,age,value, got {line!r}") from None
+            if not np.isfinite(rate) or key in cells.setdefault(group, {}):
+                raise DataError(f"{path} line {lineno}: non-finite or repeated value {line!r}")
+            cells[group][key] = rate
     out = {}
-    for group, data in cells.items():
-        years = sorted({y for y, _ in data})
-        ages = sorted({a for _, a in data})
-        m = np.empty((len(years), len(ages)))
-        for t, y in enumerate(years):
-            for i, a in enumerate(ages):
-                m[t, i] = data[(y, a)]
-        out[group] = m
+    for group, years in years_by_group.items():
+        table = cells.get(group, {})
+        try:
+            out[group] = np.array([[table[(int(y), int(a))] for a in ages] for y in years])
+        except KeyError as exc:
+            year, age = exc.args[0]
+            raise DataError(f"{path}: no value for group {group!r}, year {year}, age {age}") from None
     return out
 
 
 def run_evaluate(config: RunConfig, writer: ArtifactWriter):
     data = load_panels(config)
-    predicted = read_rates_csv(config.predictions) if config.predictions else None
-    horizon = min(p.n_years for p in data.test.panels)
-    fit, mortality, epv_report, _, _, _ = evaluate_model(
-        config, data, config.model, config.values["lambda"], predicted_rates=predicted
-    )
-    ages = data.train.panels[0].ages
-    years_by_group = {p.group: p.years[:horizon] for p in data.test.panels}
-    start_ages = ages[: epv_width(len(ages), config.term)]
-    rows = tidy_metric_rows(config.model, mortality, ages, years_by_group)
-    rows += tidy_metric_rows(config.model, epv_report, start_ages, years_by_group)
-    writer.write_text_rows("metrics.csv", "model,quantity,group,scope,key,value", rows)
-    writer.write_json(
-        "metrics.json",
-        {
-            "reports": {
-                config.model: {
-                    "mortality": mortality.to_json_dict(),
-                    "epv": epv_report.to_json_dict(),
-                }
-            }
-        },
-    )
-    return mortality, epv_report
+    penalties = {config.model: config.values["lambda"]}
+    reports, _ = write_scores(config, data, writer, penalties, config.predictions)
+    return reports[config.model]["mortality"], reports[config.model]["epv"]

@@ -28,8 +28,10 @@ __all__ = [
     "epv_annuity",
     "epv_matrix",
     "epv_weights",
+    "epv_weight_bands",
     "epv_weights_stack",
     "apply_transform",
+    "decision_residual",
     "decision_errors",
 ]
 
@@ -161,15 +163,15 @@ def epv_annuity(m: np.ndarray, i: int, n: int, v: float, counter: ClipCounter | 
 
 
 def epv_matrix(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
-    """Row-wise EPVs for a (T, N) rate matrix; output is (T, epv_width(N, n))."""
+    """Row-wise EPVs for a (..., T, N) rate array; output is (..., T, epv_width(N, n))."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    width = epv_width(M.shape[1], n)
+    width = epv_width(M.shape[-1], n)
     M = _clip_rates(M, counter)
     Q = 1.0 - M
-    out = np.ones((M.shape[0], width))
+    out = np.ones(M.shape[:-1] + (width,))
     survival = np.ones_like(out)
     for s in range(1, n):
-        survival = survival * Q[:, s - 1 : s - 1 + width]
+        survival = survival * Q[..., s - 1 : s - 1 + width]
         out += (v**s) * survival
     return out
 
@@ -180,15 +182,18 @@ def epv_weights(m: np.ndarray, n: int, v: float, counter: ClipCounter | None = N
     return epv_weights_stack(m[None, :], n, v, counter)[0]
 
 
-def epv_weights_stack(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
-    """Weight matrices for every row of a (T, N) rate matrix: (T, width, N)."""
+def epv_weight_bands(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
+    """The nonzero band of every row's weight matrix: (T, width, n - 1).
+
+    bands[t, i, j] = d p_i / d m_{i+j} at the rates of row t; row i of the
+    weight matrix is zero outside columns i .. i+n-2.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     T, N = M.shape
     width = epv_width(N, n)
     M = _clip_rates(M, counter)
     Q = 1.0 - M
-    W = np.zeros((T, width, N))
-    idx = np.arange(width)
+    bands = np.zeros((T, width, max(n - 1, 0)))
     prefix = np.ones((T, width))  # prod of q over ages i .. i+j-1
     for j in range(n - 1):
         tail = np.ones((T, width))  # prod of q over ages i+j+1 .. i+s-1
@@ -197,8 +202,19 @@ def epv_weights_stack(M: np.ndarray, n: int, v: float, counter: ClipCounter | No
             acc += (v**s) * prefix * tail
             if s < n - 1:
                 tail = tail * Q[:, s : s + width]
-        W[:, idx, idx + j] = -acc
+        bands[:, :, j] = -acc
         prefix = prefix * Q[:, j : j + width]
+    return bands
+
+
+def epv_weights_stack(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
+    """Weight matrices for every row of a (T, N) rate matrix: (T, width, N)."""
+    bands = epv_weight_bands(M, n, v, counter)
+    T, width, depth = bands.shape
+    W = np.zeros((T, width, np.shape(M)[-1]))
+    idx = np.arange(width)
+    for j in range(depth):
+        W[:, idx, idx + j] = bands[:, :, j]
     return W
 
 
@@ -208,7 +224,7 @@ def apply_transform(
     y_block: np.ndarray,
     counter: ClipCounter | None = None,
 ) -> np.ndarray:
-    """Apply g to a (T', N) block of centered log values for one group."""
+    """Apply g to a (..., T', N) block of centered log values for one group."""
     y_block = np.atleast_2d(np.asarray(y_block, dtype=float))
     if g.kind == "identity":
         return y_block
@@ -219,20 +235,38 @@ def apply_transform(
     return epv_matrix(rates, g.term, g.discount, counter)
 
 
+def decision_residual(
+    g: DecisionTransform,
+    group: str,
+    y_block: np.ndarray,
+    recon: np.ndarray,
+    counter: ClipCounter | None = None,
+) -> np.ndarray:
+    """g(recon) - g(y_block) for one group's (T', N) block.
+
+    recon may stack reconstructions of the block along leading axes, one
+    per candidate loading; the result then carries the same axes.
+    """
+    observed = apply_transform(g, group, y_block, counter)
+    return apply_transform(g, group, recon, counter) - observed
+
+
 def decision_errors(
     data: GroupedPanel,
     loading: Loading,
     g: DecisionTransform,
     counter: ClipCounter | None = None,
 ) -> np.ndarray:
-    """Per-group decision errors (1/T_k) * ||g(recon_k) - g(Y_k)||_F^2."""
+    """Per-group decision errors (1/T_k) * ||g(recon_k) - g(Y_k)||_F^2.
+
+    For the identity these are the reconstruction errors, computed by
+    factor.group_errors.
+    """
     if g.kind == "identity":
         return group_errors(data, loading)
     P = loading.projector()
     errors = []
     for p in data.panels:
-        observed = apply_transform(g, p.group, p.y, counter)
-        predicted = apply_transform(g, p.group, p.y @ P, counter)
-        diff = predicted - observed
+        diff = decision_residual(g, p.group, p.y, p.y @ P, counter)
         errors.append(float((diff * diff).sum() / p.n_years))
     return np.array(errors)

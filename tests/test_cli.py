@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairfactor.cli import main
@@ -110,14 +111,14 @@ def test_exit_code_classification():
     from fairfactor.cli import _classify
     from fairfactor.config import ConfigError
     from fairfactor.dataset import DataError
-    from fairfactor.linalg import EigenConvergenceError, RankDeficientError
+    from fairfactor.linalg import RankDeficientError
     from fairfactor.optimizer import StepFailureError
 
     assert _classify(ConfigError("x")) == 2
     assert _classify(ValueError("x")) == 2
     assert _classify(DataError("x")) == 3
     assert _classify(OSError("x")) == 3
-    assert _classify(EigenConvergenceError("x")) == 4
+    assert _classify(np.linalg.LinAlgError("x")) == 4
     assert _classify(RankDeficientError("x")) == 4
     assert _classify(StepFailureError("x")) == 4
     assert _classify(RuntimeError("x")) == 4
@@ -207,20 +208,24 @@ def test_forecast_and_price_schemas(tmp_path, hmd_file):
     assert max(ages) == 15 - 4 + 2  # N - n + 2 start ages
 
 
-def test_evaluate_identity_predictions_zero_metrics(tmp_path, hmd_file):
+def observed_test_rows(cfg) -> list[str]:
+    """A predictions file holding the observed rates of the test window."""
     from fairfactor.pipeline import fmt, load_panels
 
-    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
-    config = load_config(str(cfg), [])
-    data = load_panels(config)
+    data = load_panels(load_config(str(cfg), []))
     rows = ["group,year,age,value"]
     for p in data.test.panels:
         m = p.rates()
         for t, year in enumerate(p.years):
             for i, age in enumerate(p.ages):
                 rows.append(f"{p.group},{year},{age},{fmt(m[t, i])}")
+    return rows
+
+
+def test_evaluate_identity_predictions_zero_metrics(tmp_path, hmd_file):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
     pred_file = tmp_path / "pred.csv"
-    pred_file.write_text("\n".join(rows) + "\n")
+    pred_file.write_text("\n".join(observed_test_rows(cfg)) + "\n")
 
     out = tmp_path / "o"
     code = run_cli(
@@ -231,6 +236,35 @@ def test_evaluate_identity_predictions_zero_metrics(tmp_path, hmd_file):
     assert lines[1] == "model,quantity,group,scope,key,value"
     for row in lines[2:]:
         assert float(row.split(",")[5]) == 0.0
+
+
+def shift_years(rows):
+    shifted = []
+    for row in rows[1:]:
+        group, year, age, value = row.split(",")
+        shifted.append(f"{group},{int(year) + 7},{age},{value}")
+    return rows[:1] + shifted
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (shift_years, "year 1990, age 0"),  # every year off by +7
+        (lambda rows: [r for r in rows if not r.startswith("male,2005,15,")], "year 2005, age 15"),
+        (lambda rows: rows[:2] + ["male,1990,one,0.5"] + rows[3:], "line 3"),
+    ],
+    ids=["shifted-years", "ragged", "malformed-row"],
+)
+def test_evaluate_rejects_mismatched_predictions(tmp_path, capsys, hmd_file, edit, message):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("\n".join(edit(observed_test_rows(cfg))) + "\n")
+    out = tmp_path / "o"
+    code = run_cli("evaluate", "--config", str(cfg), "--set", f"predictions={pred_file}", "--out", str(out))
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == 3 and record["error"] == "DataError"
+    assert message in record["message"]
+    assert not list(out.glob("metrics.*"))
 
 
 def test_evaluate_real_forecast(tmp_path, hmd_file):

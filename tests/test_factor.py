@@ -32,7 +32,20 @@ def random_loading(rng, n, r):
 def test_loading_invariant_enforced():
     with pytest.raises(ValueError, match="orthonormality"):
         Loading(2.0 * np.ones((3, 1)))
+    # NaN would pass the orthonormality check, since every comparison with it is false
+    with pytest.raises(ValueError, match="non-finite"):
+        Loading(np.full((3, 1), np.nan))
     Loading(np.sqrt(3) * np.eye(3)[:, :2])  # valid
+
+
+def test_fit_pca_overflowing_panel_raises():
+    # finite data whose Gram matrix overflows: a numerical failure, not a loading
+    data, _ = synthesize(N=5, r=1, group_sizes=[6, 6], noise_scales=[1.0, 1.0], seed=1)
+    huge = GroupedPanel(
+        tuple(Panel(p.group, p.years, p.ages, 1e160 * p.y, p.intercept) for p in data.panels)
+    )
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        fit_pca(huge, 1)
 
 
 def test_fit_pca_exact_low_rank():

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fairfactor.dataset import GroupedPanel, Panel, synthesize
 from fairfactor.metrics import cross_validate_lambda, metrics
-from fairfactor.optimizer import OptimizerOptions
-from fairfactor.transforms import identity_transform
+from fairfactor.optimizer import OptimizerOptions, fit_fair_decision
+from fairfactor.transforms import annuity_transform_for, epv_annuity, epv_width, identity_transform
 
 
 def test_metrics_identity_predictions():
@@ -151,3 +153,42 @@ def test_cv_rejects_bad_arguments():
         cross_validate_lambda(data, 1, [0.0], k=6, lambda_cap=None, g=identity_transform(), opts=quick_opts())
     with pytest.raises(ValueError, match="non-negative"):
         cross_validate_lambda(data, 1, [-1.0], k=2, lambda_cap=None, g=identity_transform(), opts=quick_opts())
+
+
+def test_cv_annuity_fold_scores_match_brute_force_pricing():
+    rng = np.random.default_rng(12)
+    N, term, v = 6, 3, 0.95
+    level = np.full(N, -2.4)
+    data = GroupedPanel(
+        tuple(
+            Panel(group, np.arange(T), np.arange(N), spread * rng.standard_normal((T, N)), level)
+            for group, T, spread in (("g1", 9, 0.4), ("g2", 8, 0.15))
+        )
+    )
+    g = annuity_transform_for(data, term=term, discount=v)
+    k, grid = 3, [0.0, 4.0]
+    table = cross_validate_lambda(data, 1, grid, k=k, lambda_cap=np.inf, g=g, opts=quick_opts())
+
+    def priced_error(y, recon, a):
+        """Squared EPV error summed over a block, one annuity at a time."""
+        total = 0.0
+        for t in range(len(y)):
+            for i in range(epv_width(N, term)):
+                predicted = epv_annuity(np.exp(recon[t] + a), i, term, v)
+                total += (predicted - epv_annuity(np.exp(y[t] + a), i, term, v)) ** 2
+        return total
+
+    for lam in grid:
+        errors, gaps = [], []
+        for j in range(k):
+            folds = [np.array_split(np.arange(p.n_years), k)[j] for p in data.panels]
+            train = GroupedPanel(
+                tuple(p.take_rows(np.setdiff1d(np.arange(p.n_years), f)) for p, f in zip(data.panels, folds))
+            )
+            P = fit_fair_decision(train, 1, replace(quick_opts(), penalty=lam), g).loading.projector()
+            sq = [priced_error(p.y[f], p.y[f] @ P, p.intercept) for p, f in zip(data.panels, folds)]
+            errors.append(sum(sq) / sum(len(f) for f in folds))
+            gaps.append(abs(sq[0] / len(folds[0]) - sq[1] / len(folds[1])))
+        row = table.row(lam)
+        assert row.cv_error == pytest.approx(np.mean(errors), rel=1e-10)
+        assert row.mean_gap == pytest.approx(np.mean(gaps), rel=1e-10)
