@@ -48,9 +48,7 @@ from .linalg import (
 )
 from .metrics import CvRow, CvTable, MetricsReport, cross_validate_lambda, metrics
 from .optimizer import (
-    GridSpec,
     OptimizerOptions,
-    StepFailureError,
     annuity_taylor_objective,
     fair_decision_gradient,
     fair_decision_objective,
@@ -58,7 +56,6 @@ from .optimizer import (
     fair_factor_objective,
     fit_fair_decision,
     fit_fair_factor,
-    line_search,
     random_loading,
 )
 from .transforms import (

@@ -10,7 +10,6 @@ from . import pipeline
 from .config import ConfigError, load_config
 from .dataset import DataError
 from .linalg import RankDeficientError
-from .optimizer import StepFailureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,9 +57,7 @@ def _classify(exc: Exception) -> int:
     if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
     # LinAlgError and RankDeficientError subclass ValueError: test them first
-    if isinstance(
-        exc, (np.linalg.LinAlgError, RankDeficientError, StepFailureError, FloatingPointError)
-    ):
+    if isinstance(exc, (np.linalg.LinAlgError, RankDeficientError, FloatingPointError)):
         return EXIT_NUMERICAL
     if isinstance(exc, ValueError):
         return EXIT_CONFIG

@@ -8,6 +8,8 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .transforms import ANNUITY_MODES
+
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "resolve_config"]
 
 DEFAULT_DISCOUNT = 1.0 / 1.05
@@ -60,7 +62,6 @@ _SCHEMA: dict[str, tuple] = {
     "annuity_mode": (str, "taylor"),
     "max_iterations": (int, 2000),
     "epsilon": (float, 1e-6),
-    "line_search": (str, "exact-grid"),
     "restarts": (int, 5),
     "seed": (int, 0),
     "cv_folds": (int, 5),
@@ -150,6 +151,8 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
             raise ConfigError(f"bad value for {key!r}: {raw_value!r} ({exc})") from None
     if values["model"] not in _MODELS:
         raise ConfigError(f"model must be one of {_MODELS}, got {values['model']!r}")
+    if values["annuity_mode"] not in ANNUITY_MODES:
+        raise ConfigError(f"annuity_mode must be one of {ANNUITY_MODES}, got {values['annuity_mode']!r}")
     if values["r"] < 1:
         raise ConfigError("r must be at least 1")
     if values["lambda"] < 0:
@@ -162,6 +165,8 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError("term must be at least 1")
     if values["age_max"] < values["age_min"]:
         raise ConfigError("age_max must be at least age_min")
+    if None not in (values["year_min"], values["year_max"]) and values["year_max"] < values["year_min"]:
+        raise ConfigError("year_max must be at least year_min")
     if values["horizon"] < 0:
         raise ConfigError("horizon must be non-negative")
     if values["jobs"] < 1:

@@ -208,12 +208,6 @@ class GroupedPanel:
     def group_rows(self) -> np.ndarray:
         return np.array([p.n_years for p in self.panels], dtype=int)
 
-    def panel(self, group: str) -> Panel:
-        for p in self.panels:
-            if p.group == group:
-                return p
-        raise KeyError(group)
-
     def stacked(self) -> np.ndarray:
         return np.vstack([p.y for p in self.panels])
 
@@ -238,6 +232,8 @@ def build_panel(
     y_lo, y_hi = years
     age_axis = np.arange(a_lo, a_hi + 1)
     year_axis = np.arange(y_lo, y_hi + 1)
+    if len(year_axis) == 0:
+        raise DataError(f"group {group!r}: the year window {y_lo}-{y_hi} holds no years")
     values = table.rates[group]
     m = np.full((len(year_axis), len(age_axis)), np.nan)
     in_window = (

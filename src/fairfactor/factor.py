@@ -84,12 +84,6 @@ class FitResult:
     iteration_log: tuple[dict, ...] = field(default=(), repr=False)
     clipped_rates: int = 0
 
-    def factor_path(self, group: str) -> np.ndarray:
-        for f in self.factors:
-            if f.group == group:
-                return f.matrix
-        raise KeyError(group)
-
     def to_json_dict(self) -> dict:
         return {
             "schema_version": FIT_SCHEMA_VERSION,

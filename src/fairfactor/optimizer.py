@@ -17,7 +17,7 @@ substituted (restricted) objective; on feasible loadings the two objective
 forms coincide.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,9 +42,7 @@ from .transforms import (
 )
 
 __all__ = [
-    "GridSpec",
     "OptimizerOptions",
-    "StepFailureError",
     "fair_factor_objective",
     "fair_factor_gradient",
     "fit_fair_factor",
@@ -52,34 +50,13 @@ __all__ = [
     "fair_decision_gradient",
     "annuity_taylor_objective",
     "fit_fair_decision",
-    "line_search",
     "random_loading",
 ]
 
-_IMPROVEMENT_TOL = 1e-12  # a line-search step may never lose more than this
+_STEP_GRID = np.geomspace(1e-6, 10.0, 25)  # step sizes, in units of ||L||_F / ||grad||_F
+_IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
 _STAGNATION_TOL = 1e-14
 _STAGNATION_LIMIT = 20
-
-
-class StepFailureError(RuntimeError):
-    """Every step on the current grid left the iterate rank-deficient."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Geometric step grid; when relative, spans [lo, hi] * ||L||_F / ||grad||_F."""
-
-    points: int = 25
-    lo: float = 1e-6
-    hi: float = 10.0
-    relative: bool = True
-
-    def values(self) -> np.ndarray:
-        if self.points < 1 or self.lo <= 0 or self.hi < self.lo:
-            raise ValueError(f"bad grid spec {self}")
-        if self.points == 1:
-            return np.array([self.lo])
-        return np.geomspace(self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -87,8 +64,6 @@ class OptimizerOptions:
     penalty: float = 0.0
     max_iterations: int = 2000
     convergence_epsilon: float = 1e-6
-    line_search: str = "exact-grid"  # or "backtracking"
-    grid: GridSpec = field(default_factory=GridSpec)
     restarts: int = 5
     seed: int = 0
 
@@ -99,8 +74,6 @@ class OptimizerOptions:
             raise ValueError("convergence epsilon must be positive")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be at least 1")
-        if self.line_search not in ("exact-grid", "backtracking"):
-            raise ValueError(f"unknown line search mode {self.line_search!r}")
 
 
 def random_loading(rng: np.random.Generator, n: int, r: int) -> Loading:
@@ -330,80 +303,26 @@ def fair_decision_gradient(
     return _problem(data, g, penalty).gradient(loading)
 
 
-def line_search(objective, loading: Loading, direction: np.ndarray, opts: OptimizerOptions, _scale: float = 1.0):
-    """Step-size search along -direction with the scaled polar projection.
-
-    exact-grid mode returns the grid minimizer; both modes return (0, input)
-    rather than any point worse than the current objective. Raises
-    StepFailureError when every grid point projects from a rank-deficient
-    matrix; callers halve the grid scale and retry.
-    """
-    L = loading.matrix
-    G = np.asarray(direction, dtype=float)
-    if G.shape != L.shape:
-        raise ValueError(f"direction shape {G.shape} does not match loading {L.shape}")
-    current = objective(loading)
-    gnorm = float(np.linalg.norm(G))
-    if gnorm == 0.0:
-        return 0.0, loading
-    base = _scale * (float(np.linalg.norm(L)) / gnorm if opts.grid.relative else 1.0)
-    sqrt_n = np.sqrt(L.shape[0])
-    etas = opts.grid.values() * base
-    if opts.line_search == "exact-grid":
-        best = None
-        for eta in etas:
-            try:
-                cand = Loading(sqrt_n * nearest_orthonormal(L - eta * G))
-            except RankDeficientError:
-                continue
-            value = objective(cand)
-            if best is None or value < best[1]:
-                best = (float(eta), value, cand)
-        if best is None:
-            raise StepFailureError("all grid steps were rank-deficient")
-        if best[1] > current + _IMPROVEMENT_TOL:
-            return 0.0, loading
-        return best[0], best[2]
-    eta = float(etas[-1])
-    floor = float(etas[0]) * 2.0**-20
-    while eta > floor:
-        try:
-            cand = Loading(sqrt_n * nearest_orthonormal(L - eta * G))
-        except RankDeficientError:
-            eta *= 0.5
-            continue
-        if objective(cand) < current:
-            return eta, cand
-        eta *= 0.5
-    return 0.0, loading
-
-
-def _grid_step(
-    problem,
-    loading: Loading,
-    grad: np.ndarray,
-    opts: OptimizerOptions,
-    scale: float,
-    current: float,
-    grid_values: np.ndarray,
-):
-    """Vectorized exact-grid search: same minimizer as line_search, one pass.
+def _step(problem, loading: Loading, grad: np.ndarray, current: float):
+    """Exact search along -grad over _STEP_GRID, with the scaled polar projection.
 
     Projects every grid candidate with one batched SVD and evaluates all of
     them through the problem's batched error kernel. Returns
-    (eta, next_loading, next_objective, next_errors or None on no-move).
+    (eta, next_loading, next_objective, next_errors), or
+    (0, loading, current, None) when every step loses more than _IMPROVEMENT_TOL.
     """
     L = loading.matrix
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         return 0.0, loading, current, None
-    base = scale * (float(np.linalg.norm(L)) / gnorm if opts.grid.relative else 1.0)
-    etas = grid_values * base
+    etas = _STEP_GRID * (float(np.linalg.norm(L)) / gnorm)
     stack = L[None] - etas[:, None, None] * grad[None]
     u, s, vt = np.linalg.svd(stack, full_matrices=False)
     valid = (s[:, 0] > 0.0) & (s[:, -1] > 1e-12 * s[:, 0])
     if not valid.any():
-        raise StepFailureError("all grid steps were rank-deficient")
+        # unreachable for finite input: the smallest step keeps
+        # sigma_min >= sqrt(N) (1 - 1e-6 sqrt(r)) > 0
+        raise FloatingPointError("every grid step is rank-deficient")
     projected = np.sqrt(L.shape[0]) * np.einsum("bij,bjk->bik", u, vt)
     errors = problem.errors_batch(projected)
     values = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
@@ -432,33 +351,13 @@ def _pgd(problem, start: Loading, opts: OptimizerOptions) -> _RunState:
     log: list[dict] = []
     signal = problem.stop_signal(loading)
     signal_norm = float(np.linalg.norm(signal))
-    objective = problem.objective
     stagnant = 0
     converged = False
-    scale = 1.0
-    iterations = 0
-    use_grid = opts.line_search == "exact-grid"
-    grid_values = opts.grid.values()
-    while iterations < opts.max_iterations:
+    for iterations in range(1, opts.max_iterations + 1):
         grad = problem.gradient(loading)
-        try:
-            if use_grid:
-                eta, nxt, obj_next, errors_next = _grid_step(
-                    problem, loading, grad, opts, scale, obj, grid_values
-                )
-                if errors_next is None:  # no admissible improvement: keep the iterate
-                    errors_next = errors
-            else:
-                eta, nxt = line_search(objective, loading, grad, opts, _scale=scale)
-                errors_next = problem.errors(nxt)
-                obj_next = _combine(errors_next, problem.rows, problem.total_rows, problem.penalty)
-        except StepFailureError:
-            scale *= 0.5
-            if scale < 2.0**-16:
-                break
-            continue
-        iterations += 1
-        errors = errors_next
+        eta, nxt, obj_next, errors_next = _step(problem, loading, grad, obj)
+        if errors_next is not None:  # None: no admissible improvement, the iterate stays
+            errors = errors_next
         trace.append(obj_next)
         log.append(
             {

@@ -7,6 +7,8 @@ hash and seed.
 """
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from .dataset import (
 from .factor import FitResult, fit_pca
 from .forecasting import fit_factor_models, predict_epv, predict_mortality
 from .metrics import MetricsReport, cross_validate_lambda, metrics
-from .optimizer import GridSpec, OptimizerOptions, fit_fair_decision, fit_fair_factor
+from .optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
 from .transforms import (
     DecisionTransform,
     annuity_transform_for,
@@ -37,8 +39,17 @@ from .transforms import (
 MODEL_ORDER = ("factor", "fair-factor", "fair-decision")
 
 
+def _temporary(path: Path) -> Path:
+    return path.with_name(f".{path.name}.tmp")
+
+
 class ArtifactWriter:
-    """Writes deterministic artifacts under one directory, removing them on failure."""
+    """Writes deterministic artifacts under one directory, removing them on failure.
+
+    Each file is written under a temporary name in the same directory and
+    moved into place with os.replace once complete, so a target name never
+    holds a partial file.
+    """
 
     def __init__(self, out_dir: str | Path, config_hash: str, seed: int):
         if not str(out_dir):
@@ -49,48 +60,47 @@ class ArtifactWriter:
         self.meta = {"config_hash": config_hash, "seed": seed}
         self.written: list[Path] = []
 
+    @contextmanager
     def _open(self, name: str):
+        """A handle on a temporary file that becomes `name` once the block completes."""
         path = self.dir / name
         self.written.append(path)
-        return path
+        with _temporary(path).open("w") as fh:
+            yield fh
+        os.replace(fh.name, path)
 
     def write_text_rows(self, name: str, header_row: str, rows) -> Path:
-        path = self._open(name)
-        with path.open("w") as fh:
+        with self._open(name) as fh:
             fh.write(self.header + "\n")
             fh.write(header_row + "\n")
             for row in rows:
                 fh.write(row + "\n")
-        return path
+        return self.dir / name
 
     def write_json(self, name: str, payload: dict) -> Path:
-        path = self._open(name)
-        with path.open("w") as fh:
+        with self._open(name) as fh:
             json.dump({"meta": self.meta, **payload}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return path
+        return self.dir / name
 
     def write_jsonl(self, name: str, records) -> Path:
-        path = self._open(name)
-        with path.open("w") as fh:
+        with self._open(name) as fh:
             fh.write(self.header + "\n")
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return path
+        return self.dir / name
 
     def write_panels(self, name: str, panels) -> Path:
-        path = self._open(name)
-        with path.open("w") as fh:
+        with self._open(name) as fh:
             fh.write(self.header + "\n")
             panels_to_csv(panels, fh)
-        return path
+        return self.dir / name
 
     def discard_all(self) -> None:
         for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            for leftover in (path, _temporary(path)):
+                with suppress(OSError):
+                    leftover.unlink()
 
 
 def fmt(x: float) -> str:
@@ -142,8 +152,6 @@ def optimizer_options(config: RunConfig, penalty: float) -> OptimizerOptions:
         penalty=penalty,
         max_iterations=config.max_iterations,
         convergence_epsilon=config.epsilon,
-        line_search=config.line_search,
-        grid=GridSpec(),
         restarts=config.restarts,
         seed=config.seed,
     )

@@ -35,6 +35,8 @@ __all__ = [
     "decision_errors",
 ]
 
+ANNUITY_MODES = ("taylor", "exact")
+
 ELEMENTWISE_MAPS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = {
     "exp": (np.exp, np.exp),
     "sin": (np.sin, np.cos),
@@ -82,7 +84,7 @@ class DecisionTransform:
                 raise ValueError("discount factor must lie in (0, 1]")
             if self.intercepts is None:
                 raise ValueError("annuity transform needs per-group intercepts")
-            if self.annuity_mode not in ("taylor", "exact"):
+            if self.annuity_mode not in ANNUITY_MODES:
                 raise ValueError(f"unknown annuity mode {self.annuity_mode!r}")
 
     def funcs(self):

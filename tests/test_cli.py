@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairfactor.cli import main
-from fairfactor.config import load_config, parse_config_text, resolve_config
+from fairfactor.config import ConfigError, load_config, parse_config_text, resolve_config
 from fairfactor.factor import FitResult, Loading
 
 
@@ -52,8 +52,17 @@ def test_config_hash_ignores_out_dir(tmp_path):
 
 
 def test_config_validation_errors():
-    for bad in ("model=mystery", "r=0", "lambda=-1", "discount=2", "groups=male"):
-        with pytest.raises(Exception):
+    for bad in (
+        "model=mystery",
+        "r=0",
+        "lambda=-1",
+        "discount=2",
+        "groups=male",
+        "year_min=2000\nyear_max=1990",
+        "annuity_mode=bogus",
+        "line_search=exact-grid",
+    ):
+        with pytest.raises(ConfigError):
             resolve_config(parse_config_text(bad))
 
 
@@ -93,6 +102,30 @@ def test_exit_code_malformed_data(tmp_path, capsys):
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_exit_code_empty_year_window(tmp_path, capsys, hmd_file):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
+    code = run_cli("ingest", "--config", str(cfg), "--set", "year_min=2050", "--out", str(tmp_path / "o"))
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert "2050-2005" in record["message"]
+
+
+def test_artifact_writer_leaves_no_partial_file(tmp_path):
+    from fairfactor.pipeline import ArtifactWriter
+
+    def rows():
+        yield "1,2"
+        raise RuntimeError("row source failed")
+
+    writer = ArtifactWriter(tmp_path / "o", "abc", 0)
+    writer.write_json("done.json", {"x": 1})
+    with pytest.raises(RuntimeError):
+        writer.write_text_rows("table.csv", "a,b", rows())
+    assert not (tmp_path / "o" / "table.csv").exists()
+    writer.discard_all()
+    assert not list((tmp_path / "o").iterdir())
+
+
 def test_missing_out_dir_is_config_error(tmp_path, capsys, hmd_file):
     cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
     code = run_cli("ingest", "--config", str(cfg))
@@ -112,7 +145,6 @@ def test_exit_code_classification():
     from fairfactor.config import ConfigError
     from fairfactor.dataset import DataError
     from fairfactor.linalg import RankDeficientError
-    from fairfactor.optimizer import StepFailureError
 
     assert _classify(ConfigError("x")) == 2
     assert _classify(ValueError("x")) == 2
@@ -120,7 +152,6 @@ def test_exit_code_classification():
     assert _classify(OSError("x")) == 3
     assert _classify(np.linalg.LinAlgError("x")) == 4
     assert _classify(RankDeficientError("x")) == 4
-    assert _classify(StepFailureError("x")) == 4
     assert _classify(RuntimeError("x")) == 4
 
 

@@ -3,10 +3,12 @@ import pytest
 
 from fairfactor.dataset import GroupedPanel, Panel, synthesize
 from fairfactor.factor import Loading, fit_pca, group_errors, pairwise_unfairness, reconstruction_error
-from fairfactor.linalg import principal_angle
+from fairfactor.linalg import nearest_orthonormal, principal_angle
 from fairfactor.optimizer import (
-    GridSpec,
+    _STEP_GRID,
     OptimizerOptions,
+    _FactorProblem,
+    _step,
     annuity_taylor_objective,
     fair_decision_gradient,
     fair_decision_objective,
@@ -14,7 +16,6 @@ from fairfactor.optimizer import (
     fair_factor_objective,
     fit_fair_decision,
     fit_fair_factor,
-    line_search,
     random_loading,
 )
 from fairfactor.transforms import (
@@ -148,17 +149,6 @@ def test_factor_gradient_three_groups_matches_finite_differences():
     h = 1e-6 * np.linalg.norm(L.matrix)
     fd = fd_gradient(lambda M: restricted_factor_objective(data, M, lam), L.matrix, h)
     assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
-
-
-def test_backtracking_fit_matches_pca_at_zero_penalty():
-    rng = np.random.default_rng(23)
-    data = random_instance(rng, T1=8, T2=7, N=6)
-    opts = OptimizerOptions(penalty=0.0, restarts=2, seed=0, line_search="backtracking")
-    fit = fit_fair_factor(data, 1, opts)
-    pca = fit_pca(data, 1)
-    assert principal_angle(fit.loading.matrix, pca.loading.matrix) <= 1e-6
-    trace = np.array(fit.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_decision_objective_identity_reduction():
@@ -309,56 +299,44 @@ def test_annuity_exact_gradient_matches_finite_differences():
 
 def test_line_search_zero_direction():
     rng = np.random.default_rng(14)
+    problem = _FactorProblem(random_instance(rng, N=4), 1.0)
     L = random_loading(rng, 4, 2)
-    eta, nxt = line_search(lambda l: 1.0, L, np.zeros((4, 2)), OptimizerOptions())
-    assert eta == 0.0 and nxt is L
-
-
-def test_line_search_recovers_grid_minimum():
-    # direction tilts the single column; the candidate's angle recovers eta
-    L = Loading(np.sqrt(2.0) * np.array([[1.0], [0.0]]))
-    direction = np.array([[0.0], [-np.sqrt(2.0)]])  # candidate ~ (1, eta) direction
-    opts = OptimizerOptions(
-        line_search="exact-grid", grid=GridSpec(points=5, lo=0.075, hi=1.2, relative=False)
-    )
-
-    def objective(cand):
-        m = cand.matrix
-        eta = m[1, 0] / m[0, 0]
-        return (eta - 0.3) ** 2
-
-    eta, nxt = line_search(objective, L, direction, opts)
-    assert eta == pytest.approx(0.3, rel=1e-9)
-    assert objective(nxt) <= 1e-18
+    eta, nxt, value, errors = _step(problem, L, np.zeros((4, 2)), 1.0)
+    assert eta == 0.0 and nxt is L and value == 1.0 and errors is None
 
 
 def test_grid_step_matches_line_search():
-    # the batched engine path must pick the same grid point as the public op
-    from fairfactor.optimizer import _FactorProblem, _grid_step
-
+    # the batched step must pick the argmin of a per-candidate line search
     rng = np.random.default_rng(21)
-    opts = OptimizerOptions(penalty=3.0)
     for _ in range(10):
         data = random_instance(rng, T1=7, T2=6, N=7)
         problem = _FactorProblem(data, 3.0)
         L = random_loading(rng, 7, 2)
         grad = problem.gradient(L)
-        current = problem.objective(L)
-        eta_a, next_a = line_search(problem.objective, L, grad, opts)
-        eta_b, next_b, value_b, _ = _grid_step(problem, L, grad, opts, 1.0, current, opts.grid.values())
-        assert eta_a == pytest.approx(eta_b, rel=1e-12)
-        assert problem.objective(next_a) == pytest.approx(value_b, rel=1e-10)
+        etas = _STEP_GRID * np.linalg.norm(L.matrix) / np.linalg.norm(grad)
+        values = [
+            problem.objective(Loading(np.sqrt(7) * nearest_orthonormal(L.matrix - eta * grad)))
+            for eta in etas
+        ]
+        best = int(np.argmin(values))
+        assert values[best] < problem.objective(L)
+        eta, nxt, value, _ = _step(problem, L, grad, problem.objective(L))
+        assert eta == pytest.approx(etas[best], rel=1e-12)
+        assert value == pytest.approx(values[best], rel=1e-10)
+        assert problem.objective(nxt) == pytest.approx(value, rel=1e-10)
 
 
 def test_line_search_never_worse():
     rng = np.random.default_rng(15)
     data = random_instance(rng)
-    L = random_loading(rng, 6, 2)
-    obj = lambda l: fair_factor_objective(data, l, 2.0)
-    grad = fair_factor_gradient(data, L, 2.0)
-    for mode in ("exact-grid", "backtracking"):
-        eta, nxt = line_search(obj, L, grad, OptimizerOptions(line_search=mode))
-        assert obj(nxt) <= obj(L) + 1e-12
+    problem = _FactorProblem(data, 2.0)
+    for _ in range(5):
+        L = random_loading(rng, 6, 2)
+        current = fair_factor_objective(data, L, 2.0)
+        for grad in (fair_factor_gradient(data, L, 2.0), -fair_factor_gradient(data, L, 2.0)):
+            eta, nxt, value, _ = _step(problem, L, grad, current)
+            assert fair_factor_objective(data, nxt, 2.0) <= current + 1e-12
+            assert value == pytest.approx(fair_factor_objective(data, nxt, 2.0), rel=1e-10)
 
 
 # ----------------------------------------------------------------------- fits
