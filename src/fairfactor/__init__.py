@@ -37,7 +37,6 @@ from .forecasting import (
     fit_drift_ar,
     fit_factor_models,
     forecast,
-    predict_epv,
     predict_mortality,
 )
 from .linalg import (
@@ -59,7 +58,6 @@ from .optimizer import (
     random_loading,
 )
 from .transforms import (
-    ClipCounter,
     DecisionTransform,
     annuity_transform,
     annuity_transform_for,

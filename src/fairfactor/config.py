@@ -1,7 +1,8 @@
 """Run configuration: a flat key = value file plus command-line overrides.
 
-Lines are `key = value`; blank lines and # comments are ignored. Unknown keys
-are rejected. Per-group data overrides use the dotted form `data.<group>`.
+Lines are `key = value`; blank lines and lines starting with # are ignored
+(a # after a value is part of the value). Unknown keys are rejected.
+Per-group data overrides use the dotted form `data.<group>`.
 """
 
 import hashlib

@@ -1,4 +1,4 @@
-"""Drift-AR forecasting of factor paths and the mapping back to rates and EPVs.
+"""Drift-AR forecasting of factor paths and the mapping back to rates.
 
 Model family: ARIMA(p, d, 0) with drift, p <= p_max, d <= d_max, coefficients
 and drift fitted by least squares on the d-times differenced series, order
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factor import FitResult
-from .transforms import ClipCounter, DecisionTransform, epv_matrix
 
 __all__ = [
     "DriftARModel",
@@ -20,7 +19,6 @@ __all__ = [
     "forecast",
     "fit_factor_models",
     "predict_mortality",
-    "predict_epv",
 ]
 
 _RESOLUTION = 1e-10  # SSE below (resolution * scale)^2 per point counts as an exact fit
@@ -176,7 +174,7 @@ def predict_mortality(
     clip count reported.
     """
     L = fit.loading.matrix
-    counter = ClipCounter()
+    clipped = 0
     rates: dict[str, np.ndarray] = {}
     logs: dict[str, np.ndarray] = {}
     paths: dict[str, np.ndarray] = {}
@@ -195,16 +193,8 @@ def predict_mortality(
             y_hat = y_hat * scales[group]
         log_m = y_hat + np.asarray(intercepts[group], dtype=float)
         m = np.exp(log_m)
-        out_of_range = int(((m < 0.0) | (m > 1.0)).sum())
-        counter.add(out_of_range)
+        clipped += int((m > 1.0).sum())  # exp is positive: only rates above 1 clip
         rates[group] = np.clip(m, 0.0, 1.0)
         logs[group] = log_m
         paths[group] = future
-    return ForecastResult(rates=rates, log_rates=logs, factors=paths, clipped=counter.clipped)
-
-
-def predict_epv(rates: dict[str, np.ndarray], g: DecisionTransform) -> dict[str, np.ndarray]:
-    """Row-wise annuity EPVs of forecast rate matrices."""
-    if g.kind != "annuity":
-        raise ValueError("predict_epv needs an annuity transform")
-    return {group: epv_matrix(m, g.term, g.discount) for group, m in rates.items()}
+    return ForecastResult(rates=rates, log_rates=logs, factors=paths, clipped=clipped)

@@ -32,7 +32,6 @@ from .factor import (
 )
 from .linalg import RankDeficientError, nearest_orthonormal
 from .transforms import (
-    ClipCounter,
     DecisionTransform,
     apply_transform,
     decision_errors,
@@ -194,19 +193,25 @@ class _DecisionProblem(_Problem):
     def _recon(self, k: int, M: np.ndarray) -> np.ndarray:
         return (self.ys[k] @ M) @ M.T / self.N
 
+    def _residual(self, k: int, recon: np.ndarray) -> np.ndarray:
+        """g(recon) - g(y) for group k, or in taylor mode W (m_recon - m_obs).
+
+        recon is (..., T, N) with any leading candidate axes.
+        """
+        if self.taylor:
+            return _band_apply(self.bands[k], np.exp(recon + self.intercepts[k]) - self.m_obs[k])
+        return decision_residual(self.g, self.groups[k], self.ys[k], recon)
+
     def _error_parts(self, k: int, M: np.ndarray):
         """Return (error_k, Z_k) where Z_k stacks the per-sample z vectors."""
         recon = self._recon(k, M)
-        if self.taylor:
-            m_recon = np.exp(recon + self.intercepts[k])
-            we = _band_apply(self.bands[k], m_recon - self.m_obs[k])
-            u = _band_adjoint(self.bands[k], we, self.N)  # W^T W e
-            return float((we * we).sum()) / self.rows[k], m_recon * u
-        d = decision_residual(self.g, self.groups[k], self.ys[k], recon)
+        d = self._residual(k, recon)
         error = float((d * d).sum()) / self.rows[k]
         if self.g.kind == "elementwise":
             return error, self.g.funcs()[1](recon) * d
         m_recon = np.exp(recon + self.intercepts[k])
+        if self.taylor:
+            return error, m_recon * _band_adjoint(self.bands[k], d, self.N)  # W^T W e
         inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
         bands = epv_weight_bands(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
         u = _band_adjoint(bands, d, self.N)  # W(m_recon)^T d
@@ -217,11 +222,7 @@ class _DecisionProblem(_Problem):
         out = np.empty((stack.shape[0], len(self.ys)))
         for k, Y in enumerate(self.ys):
             C = np.matmul(Y, stack)  # (B, T, r)
-            recon = np.matmul(C, stack.transpose(0, 2, 1)) / self.N  # (B, T, N)
-            if self.taylor:
-                e = _band_apply(self.bands[k], np.exp(recon + self.intercepts[k]) - self.m_obs[k])
-            else:
-                e = decision_residual(self.g, self.groups[k], Y, recon)
+            e = self._residual(k, np.matmul(C, stack.transpose(0, 2, 1)) / self.N)
             out[:, k] = (e * e).sum(axis=(1, 2)) / self.rows[k]
         return out
 
@@ -397,8 +398,13 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
             best = run
     assert best is not None
     loading = Loading(fix_column_signs(best.loading.matrix))
-    counter = ClipCounter()
-    errors = decision_errors(data, loading, g, counter)
+    errors = decision_errors(data, loading, g)
+    clipped = 0  # reconstructed annuity rates above 1, which pricing clips
+    if g.kind == "annuity":
+        P = loading.projector()
+        clipped = sum(
+            int((np.exp(p.y @ P + g.intercept_for(p.group)) > 1.0).sum()) for p in data.panels
+        )
     return FitResult(
         loading=loading,
         factors=tuple(FactorPath(p.group, p.y @ loading.matrix / N) for p in data.panels),
@@ -410,7 +416,7 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
         degenerate_spectrum=pca.degenerate_spectrum,
         groups=data.groups,
         iteration_log=tuple(best.log),
-        clipped_rates=counter.clipped,
+        clipped_rates=clipped,
     )
 
 

@@ -25,7 +25,7 @@ from .dataset import (
     synthesize,
 )
 from .factor import FitResult, fit_pca
-from .forecasting import fit_factor_models, predict_epv, predict_mortality
+from .forecasting import fit_factor_models, predict_mortality
 from .metrics import MetricsReport, cross_validate_lambda, metrics
 from .optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
 from .transforms import (
@@ -187,6 +187,11 @@ def fit_and_forecast(config: RunConfig, data: PreparedData, model: str, penalty:
     return fit, predict_mortality(fit, models, intercepts, horizon, scales=scales), models
 
 
+def _epvs(config: RunConfig, rates: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Row-wise annuity-due EPVs of per-group rate matrices at the configured term and discount."""
+    return {g: epv_matrix(m, config.term, config.discount) for g, m in rates.items()}
+
+
 def tidy_metric_rows(model: str, report: MetricsReport, ages, years_by_group) -> list[str]:
     """Rows of the documented metrics.csv schema: model,quantity,group,scope,key,value."""
     rows = [f"{model},{report.quantity},,total,,{fmt(report.rmse_total)}"]
@@ -220,9 +225,7 @@ def evaluate_model(
         fit, forecasted, _ = fit_and_forecast(config, data, model, penalty, horizon)
         predicted_rates = forecasted.rates
     mortality = metrics(actual_rates, predicted_rates, "mortality")
-    epv_actual = {g: epv_matrix(m, config.term, config.discount) for g, m in actual_rates.items()}
-    epv_pred = {g: epv_matrix(m, config.term, config.discount) for g, m in predicted_rates.items()}
-    return fit, mortality, metrics(epv_actual, epv_pred, "epv")
+    return fit, mortality, metrics(_epvs(config, actual_rates), _epvs(config, predicted_rates), "epv")
 
 
 def write_scores(
@@ -290,13 +293,16 @@ def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, 
 
 
 def run_simulate(config: RunConfig, writer: ArtifactWriter) -> None:
-    data, truth = synthesize(
-        N=config.sim_ages,
-        r=config.sim_r,
-        group_sizes=config.sim_group_sizes,
-        noise_scales=config.sim_noise_scales,
-        seed=config.seed,
-    )
+    try:
+        data, truth = synthesize(
+            N=config.sim_ages,
+            r=config.sim_r,
+            group_sizes=config.sim_group_sizes,
+            noise_scales=config.sim_noise_scales,
+            seed=config.seed,
+        )
+    except DataError as exc:  # simulate reads no data: its sim_* settings are at fault
+        raise ConfigError(str(exc)) from None
     writer.write_panels("panels.csv", data.panels)
     writer.write_json(
         "truth.json",
@@ -407,10 +413,7 @@ def run_forecast(config: RunConfig, writer: ArtifactWriter):
 
 def run_price(config: RunConfig, writer: ArtifactWriter):
     data, forecasted, _, years = _forecast_configured(config)
-    g = annuity_transform_for(
-        data.train, term=config.term, discount=config.discount, annuity_mode=config.annuity_mode
-    )
-    epvs = predict_epv(forecasted.rates, g)
+    epvs = _epvs(config, forecasted.rates)
     ages = data.train.panels[0].ages
     start_ages = ages[: epv_width(len(ages), config.term)]
     writer.write_text_rows(

@@ -6,7 +6,8 @@ The annuity-due expected present value for a start age index i is
 
 one payment per period starting now (the s = 0 term is the certain unit
 payment), discounted by v per year and survived through the listed death
-rates. A term of n needs rates at ages i .. i+n-2 only.
+rates. A term of n needs rates at ages i .. i+n-2 only. Every pricing
+function clips its rates into [0, 1] first.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .dataset import GroupedPanel
 from .factor import Loading, group_errors
 
 __all__ = [
-    "ClipCounter",
     "DecisionTransform",
     "identity_transform",
     "elementwise_transform",
@@ -42,16 +42,6 @@ ELEMENTWISE_MAPS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[
     "sin": (np.sin, np.cos),
     "cube": (lambda x: x**3, lambda x: 3.0 * x**2),
 }
-
-
-@dataclass
-class ClipCounter:
-    """Counts reconstructed rates pushed back into [0, 1]."""
-
-    clipped: int = 0
-
-    def add(self, count: int) -> None:
-        self.clipped += int(count)
 
 
 @dataclass(frozen=True)
@@ -138,24 +128,14 @@ def epv_width(N: int, n: int) -> int:
     return N if n == 1 else N - n + 2
 
 
-def _clip_rates(m: np.ndarray, counter: ClipCounter | None) -> np.ndarray:
-    out_of_range = int(((m < 0.0) | (m > 1.0)).sum())
-    if out_of_range and counter is not None:
-        counter.add(out_of_range)
-    if out_of_range:
-        return np.clip(m, 0.0, 1.0)
-    return m
-
-
-def epv_annuity(m: np.ndarray, i: int, n: int, v: float, counter: ClipCounter | None = None) -> float:
+def epv_annuity(m: np.ndarray, i: int, n: int, v: float) -> float:
     """EPV of an n-payment annuity-due starting at age index i (0-based)."""
-    m = np.asarray(m, dtype=float)
+    m = np.clip(np.asarray(m, dtype=float), 0.0, 1.0)
     width = epv_width(len(m), n)
     if not 0 <= i < width:
         raise ValueError(f"start index {i} out of range [0, {width - 1}]")
     if not 0.0 < v <= 1.0:
         raise ValueError("discount factor must lie in (0, 1]")
-    m = _clip_rates(m, counter)
     total = 1.0  # certain payment now
     survival = 1.0
     for s in range(1, n):
@@ -164,13 +144,11 @@ def epv_annuity(m: np.ndarray, i: int, n: int, v: float, counter: ClipCounter | 
     return total
 
 
-def epv_matrix(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
+def epv_matrix(M: np.ndarray, n: int, v: float) -> np.ndarray:
     """Row-wise EPVs for a (..., T, N) rate array; output is (..., T, epv_width(N, n))."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    width = epv_width(M.shape[-1], n)
-    M = _clip_rates(M, counter)
-    Q = 1.0 - M
-    out = np.ones(M.shape[:-1] + (width,))
+    Q = 1.0 - np.clip(np.atleast_2d(np.asarray(M, dtype=float)), 0.0, 1.0)
+    width = epv_width(Q.shape[-1], n)
+    out = np.ones(Q.shape[:-1] + (width,))
     survival = np.ones_like(out)
     for s in range(1, n):
         survival = survival * Q[..., s - 1 : s - 1 + width]
@@ -178,23 +156,21 @@ def epv_matrix(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = No
     return out
 
 
-def epv_weights(m: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
+def epv_weights(m: np.ndarray, n: int, v: float) -> np.ndarray:
     """Gradient rows of the EPV map: W[i, j] = d p_i / d m_j, banded in j."""
     m = np.asarray(m, dtype=float)
-    return epv_weights_stack(m[None, :], n, v, counter)[0]
+    return epv_weights_stack(m[None, :], n, v)[0]
 
 
-def epv_weight_bands(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
+def epv_weight_bands(M: np.ndarray, n: int, v: float) -> np.ndarray:
     """The nonzero band of every row's weight matrix: (T, width, n - 1).
 
     bands[t, i, j] = d p_i / d m_{i+j} at the rates of row t; row i of the
     weight matrix is zero outside columns i .. i+n-2.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    T, N = M.shape
+    Q = 1.0 - np.clip(np.atleast_2d(np.asarray(M, dtype=float)), 0.0, 1.0)
+    T, N = Q.shape
     width = epv_width(N, n)
-    M = _clip_rates(M, counter)
-    Q = 1.0 - M
     bands = np.zeros((T, width, max(n - 1, 0)))
     prefix = np.ones((T, width))  # prod of q over ages i .. i+j-1
     for j in range(n - 1):
@@ -209,9 +185,9 @@ def epv_weight_bands(M: np.ndarray, n: int, v: float, counter: ClipCounter | Non
     return bands
 
 
-def epv_weights_stack(M: np.ndarray, n: int, v: float, counter: ClipCounter | None = None) -> np.ndarray:
+def epv_weights_stack(M: np.ndarray, n: int, v: float) -> np.ndarray:
     """Weight matrices for every row of a (T, N) rate matrix: (T, width, N)."""
-    bands = epv_weight_bands(M, n, v, counter)
+    bands = epv_weight_bands(M, n, v)
     T, width, depth = bands.shape
     W = np.zeros((T, width, np.shape(M)[-1]))
     idx = np.arange(width)
@@ -220,12 +196,7 @@ def epv_weights_stack(M: np.ndarray, n: int, v: float, counter: ClipCounter | No
     return W
 
 
-def apply_transform(
-    g: DecisionTransform,
-    group: str,
-    y_block: np.ndarray,
-    counter: ClipCounter | None = None,
-) -> np.ndarray:
+def apply_transform(g: DecisionTransform, group: str, y_block: np.ndarray) -> np.ndarray:
     """Apply g to a (..., T', N) block of centered log values for one group."""
     y_block = np.atleast_2d(np.asarray(y_block, dtype=float))
     if g.kind == "identity":
@@ -234,31 +205,19 @@ def apply_transform(
         func, _ = g.funcs()
         return func(y_block)
     rates = np.exp(y_block + g.intercept_for(group))
-    return epv_matrix(rates, g.term, g.discount, counter)
+    return epv_matrix(rates, g.term, g.discount)
 
 
-def decision_residual(
-    g: DecisionTransform,
-    group: str,
-    y_block: np.ndarray,
-    recon: np.ndarray,
-    counter: ClipCounter | None = None,
-) -> np.ndarray:
+def decision_residual(g: DecisionTransform, group: str, y_block: np.ndarray, recon: np.ndarray) -> np.ndarray:
     """g(recon) - g(y_block) for one group's (T', N) block.
 
     recon may stack reconstructions of the block along leading axes, one
     per candidate loading; the result then carries the same axes.
     """
-    observed = apply_transform(g, group, y_block, counter)
-    return apply_transform(g, group, recon, counter) - observed
+    return apply_transform(g, group, recon) - apply_transform(g, group, y_block)
 
 
-def decision_errors(
-    data: GroupedPanel,
-    loading: Loading,
-    g: DecisionTransform,
-    counter: ClipCounter | None = None,
-) -> np.ndarray:
+def decision_errors(data: GroupedPanel, loading: Loading, g: DecisionTransform) -> np.ndarray:
     """Per-group decision errors (1/T_k) * ||g(recon_k) - g(Y_k)||_F^2.
 
     For the identity these are the reconstruction errors, computed by
@@ -269,6 +228,6 @@ def decision_errors(
     P = loading.projector()
     errors = []
     for p in data.panels:
-        diff = decision_residual(g, p.group, p.y, p.y @ P, counter)
+        diff = decision_residual(g, p.group, p.y, p.y @ P)
         errors.append(float((diff * diff).sum() / p.n_years))
     return np.array(errors)

@@ -7,6 +7,8 @@ import pytest
 from fairfactor.cli import main
 from fairfactor.config import ConfigError, load_config, parse_config_text, resolve_config
 from fairfactor.factor import FitResult, Loading
+from fairfactor.pipeline import read_rates_csv
+from fairfactor.transforms import epv_matrix
 
 
 def run_cli(*args) -> int:
@@ -64,6 +66,16 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ConfigError):
             resolve_config(parse_config_text(bad))
+
+
+def test_readme_example_config_resolves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = resolve_config(parse_config_text(block))
+    assert config.data == "/data/AUS.Mx_1x1.txt"
+    assert config.groups == ("male", "female")
+    assert config.train_cutoff == 1989
+    assert config.model == "fair-decision"
 
 
 # ------------------------------------------------------------- exit codes
@@ -177,6 +189,22 @@ def test_simulate_seed_changes_output(tmp_path):
     assert read_outputs(out1) != read_outputs(out2)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["sim_r=0"],
+        ["sim_group_sizes=8", "sim_noise_scales=1"],
+        ["sim_group_sizes=1,8"],
+        ["sim_noise_scales=1,2,3"],
+    ],
+    ids=["rank-zero", "one-group", "one-row-group", "mismatched-scales"],
+)
+def test_simulate_bad_settings_are_config_errors(tmp_path, capsys, settings):
+    overrides = [arg for s in settings for arg in ("--set", s)]
+    assert run_cli("simulate", *overrides, "--out", str(tmp_path / "o")) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
 # ------------------------------------------------------------- pipeline
 
 
@@ -237,6 +265,18 @@ def test_forecast_and_price_schemas(tmp_path, hmd_file):
     assert all(1.0 <= v <= max_epv + 1e-9 for v in values)
     ages = {int(row.split(",")[2]) for row in lines[2:]}
     assert max(ages) == 15 - 4 + 2  # N - n + 2 start ages
+
+
+def test_price_accepts_standardized_panels(tmp_path, hmd_file):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=factor\nstandardize=true\n")
+    forecast_out, price_out = tmp_path / "f", tmp_path / "p"
+    assert run_cli("forecast", "--config", str(cfg), "--out", str(forecast_out)) == 0
+    assert run_cli("price", "--config", str(cfg), "--out", str(price_out)) == 0
+    years = {g: np.arange(1990, 2006) for g in ("male", "female")}
+    rates = read_rates_csv(str(forecast_out / "forecast_rates.csv"), years, np.arange(16))
+    epvs = read_rates_csv(str(price_out / "epv.csv"), years, np.arange(14))
+    for group, m in rates.items():
+        assert np.array_equal(epvs[group], epv_matrix(m, 4, 1 / 1.05))
 
 
 def observed_test_rows(cfg) -> list[str]:

@@ -8,11 +8,10 @@ from fairfactor.forecasting import (
     fit_drift_ar,
     fit_factor_models,
     forecast,
-    predict_epv,
     predict_mortality,
 )
 from fairfactor.optimizer import OptimizerOptions, fit_fair_factor
-from fairfactor.transforms import annuity_transform, apply_transform, epv_width
+from fairfactor.transforms import annuity_transform, apply_transform, epv_matrix, epv_width
 
 
 def test_constant_series():
@@ -166,17 +165,13 @@ def test_predict_mortality_clipping_counted():
 def test_predict_epv_trivial_and_consistency():
     rng = np.random.default_rng(7)
     rates = {"g1": rng.uniform(0.01, 0.4, size=(3, 8)), "g2": rng.uniform(0.01, 0.4, size=(3, 8))}
-    ones = predict_epv(rates, annuity_transform(1, 0.9, {"g1": np.zeros(8), "g2": np.zeros(8)}))
-    for m in ones.values():
-        assert np.all(m == 1.0)
+    for m in rates.values():
+        assert np.all(epv_matrix(m, 1, 0.9) == 1.0)
 
-    zero = {"g1": np.zeros((2, 6))}
-    out = predict_epv(zero, annuity_transform(4, 1.0, {"g1": np.zeros(6)}))
-    assert np.allclose(out["g1"], 4.0)
+    assert np.allclose(epv_matrix(np.zeros((2, 6)), 4, 1.0), 4.0)
 
     g = annuity_transform(5, 0.95, {k: np.zeros(8) for k in rates})
-    through_rates = predict_epv(rates, g)
     for k, m in rates.items():
         via_transform = apply_transform(g, k, np.log(m))
         assert via_transform.shape == (3, epv_width(8, 5))
-        assert np.allclose(through_rates[k], via_transform, atol=1e-12)
+        assert np.allclose(epv_matrix(m, 5, 0.95), via_transform, atol=1e-12)

@@ -466,3 +466,17 @@ def test_decision_errors_reported_for_annuity_fit():
     fit = fit_fair_decision(data, 1, OptimizerOptions(penalty=1.0, restarts=2, seed=7), g)
     assert np.allclose(fit.group_errors, decision_errors(data, fit.loading, g), rtol=1e-12)
     assert fit.unfairness == pytest.approx(pairwise_unfairness(fit.group_errors), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["taylor", "exact"])
+def test_clipped_rates_count_reconstructions_only(mode):
+    rng = np.random.default_rng(8)
+    data = annuity_panels(rng, T1=10, T2=10, N=6, level=-0.3, spread=0.5)
+    g = annuity_transform_for(data, term=3, discount=0.95, annuity_mode=mode)
+    opts = OptimizerOptions(penalty=1.0, restarts=2, seed=3, max_iterations=100)
+    fit = fit_fair_decision(data, 1, opts, g)
+    P = fit.loading.projector()
+    reconstructed = sum(int((np.exp(p.y @ P + p.intercept) > 1.0).sum()) for p in data.panels)
+    observed = sum(int((np.exp(p.y + p.intercept) > 1.0).sum()) for p in data.panels)
+    assert reconstructed > 0 and observed > 0  # observed rates above 1 do not depend on the fit
+    assert fit.clipped_rates == reconstructed

@@ -5,7 +5,6 @@ from fairfactor.dataset import GroupedPanel, Panel
 from fairfactor.factor import Loading, group_errors
 from fairfactor.linalg import nearest_orthonormal
 from fairfactor.transforms import (
-    ClipCounter,
     annuity_transform,
     apply_transform,
     decision_errors,
@@ -99,12 +98,11 @@ def test_epv_rejects_bad_arguments():
         epv_annuity(m, 0, 2, 1.5)
 
 
-def test_epv_clipping_counted():
-    counter = ClipCounter()
+def test_epv_clips_rates():
     value = epv_annuity(np.array([1.4, -0.2, 0.5]), 0, 3, 1.0)
     assert value == pytest.approx(1.0)  # certain death in year one after clipping
-    epv_annuity(np.array([1.4, -0.2, 0.5]), 0, 3, 1.0, counter)
-    assert counter.clipped == 2
+    M = np.array([[1.4, -0.2, 0.5], [0.3, 0.0, 0.7]])
+    assert np.array_equal(epv_matrix(M, 3, 0.9), epv_matrix(np.clip(M, 0.0, 1.0), 3, 0.9))
 
 
 def test_weights_single_payment_zero():
