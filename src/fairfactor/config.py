@@ -6,6 +6,7 @@ Per-group data overrides use the dotted form `data.<group>`.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,6 +84,11 @@ _SCHEMA: dict[str, tuple] = {
 
 _MODELS = ("factor", "fair-factor", "fair-decision")
 
+# penalties and tolerances: nan passes every < and <= check, so test finiteness
+_FINITE_KEYS = (
+    "lambda", "epsilon", "repro_lambda_factor", "repro_lambda_decision", "cv_lambdas", "cv_lambda_cap"
+)
+
 # execution details that do not change the scientific result
 _HASH_EXEMPT = ("out", "jobs")
 
@@ -156,6 +162,11 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"annuity_mode must be one of {ANNUITY_MODES}, got {values['annuity_mode']!r}")
     if values["r"] < 1:
         raise ConfigError("r must be at least 1")
+    for key in _FINITE_KEYS:
+        value = values[key]
+        numbers = () if value is None else value if isinstance(value, tuple) else (value,)
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
     if values["lambda"] < 0:
         raise ConfigError("lambda must be non-negative")
     if len(values["groups"]) < 2:

@@ -83,6 +83,12 @@ class FitResult:
     groups: tuple[str, ...]
     iteration_log: tuple[dict, ...] = field(default=(), repr=False)
     clipped_rates: int = 0
+    # the kept run's stop (small_change | stagnation | no_descent | max_iterations),
+    # the Riemannian gradient norm at the returned loading and the candidate
+    # loadings the kept run priced; None, None, 0 for PCA and older files
+    stop_reason: str | None = None
+    gradient_norm: float | None = None
+    evaluations: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,6 +103,9 @@ class FitResult:
             "converged": self.converged,
             "degenerate_spectrum": self.degenerate_spectrum,
             "clipped_rates": self.clipped_rates,
+            "stop_reason": self.stop_reason,
+            "gradient_norm": self.gradient_norm,
+            "evaluations": self.evaluations,
             "iteration_log": [dict(rec) for rec in self.iteration_log],
         }
 
@@ -120,6 +129,9 @@ class FitResult:
             groups=groups,
             iteration_log=tuple(payload.get("iteration_log", ())),
             clipped_rates=int(payload.get("clipped_rates", 0)),
+            stop_reason=payload.get("stop_reason"),
+            gradient_norm=payload.get("gradient_norm"),
+            evaluations=int(payload.get("evaluations", 0)),
         )
 
 

@@ -17,6 +17,7 @@ substituted (restricted) objective; on feasible loadings the two objective
 forms coincide.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +57,7 @@ _STEP_GRID = np.geomspace(1e-6, 10.0, 25)  # step sizes, in units of ||L||_F / |
 _IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
 _STAGNATION_TOL = 1e-14
 _STAGNATION_LIMIT = 20
+_TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,10 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.penalty < 0.0:
-            raise ValueError("penalty must be non-negative")
-        if self.convergence_epsilon <= 0.0:
-            raise ValueError("convergence epsilon must be positive")
+        if not (math.isfinite(self.penalty) and self.penalty >= 0.0):
+            raise ValueError(f"penalty must be finite and non-negative, got {self.penalty}")
+        if not (math.isfinite(self.convergence_epsilon) and self.convergence_epsilon > 0.0):
+            raise ValueError(f"convergence epsilon must be finite and positive, got {self.convergence_epsilon}")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be at least 1")
 
@@ -102,13 +104,20 @@ def _penalized_gradient(
 
 class _Problem:
     """Penalized objective and gradient from a subclass's per-group errors:
-    errors_batch for a (B, N, r) stack of candidates, and errors_and_grads."""
+    _errors_batch for a (B, N, r) stack of candidates, and errors_and_grads.
+    `evaluations` counts the candidates priced through errors_batch."""
 
     def __init__(self, data: GroupedPanel, penalty: float):
         self.penalty = penalty
         self.N = data.n_ages
         self.rows = data.group_rows
         self.total_rows = data.total_rows
+        self.evaluations = 0
+
+    def errors_batch(self, stack: np.ndarray) -> np.ndarray:
+        """(B, K) errors for a (B, N, r) stack of candidate loadings."""
+        self.evaluations += len(stack)
+        return self._errors_batch(stack)
 
     def errors(self, loading: Loading) -> np.ndarray:
         return self.errors_batch(loading.matrix[None])[0]
@@ -130,41 +139,62 @@ class _FactorProblem(_Problem):
         self.sq = [float((p.y**2).sum()) for p in data.panels]
         self.Y = data.stacked()
 
-    def errors_batch(self, stack: np.ndarray) -> np.ndarray:
-        """(B, K) errors for a (B, N, r) stack of candidate loadings."""
-        out = np.empty((stack.shape[0], len(self.grams)))
+    def _errors_batch(self, stack: np.ndarray) -> np.ndarray:
+        B, N, r = stack.shape
+        columns = stack.transpose(0, 2, 1).reshape(B * r, N)  # one product for every candidate
+        out = np.empty((B, len(self.grams)))
         for k, gram in enumerate(self.grams):
-            GM = np.matmul(gram, stack)
-            out[:, k] = (self.sq[k] - (stack * GM).sum(axis=(1, 2)) / self.N) / self.rows[k]
+            quad = ((columns @ gram) * columns).sum(axis=1).reshape(B, r).sum(axis=1)
+            out[:, k] = (self.sq[k] - quad / self.N) / self.rows[k]
         return out
 
     def errors_and_grads(self, loading: Loading):
-        grads = [(-2.0 / (t * self.N)) * (gram @ loading.matrix) for t, gram in zip(self.rows, self.grams)]
-        return self.errors(loading), grads
+        M = loading.matrix
+        products = [gram @ M for gram in self.grams]
+        errors = [(sq - float((M * GM).sum()) / self.N) / t for sq, GM, t in zip(self.sq, products, self.rows)]
+        grads = [(-2.0 / (t * self.N)) * GM for t, GM in zip(self.rows, products)]
+        return np.array(errors), grads
 
     def stop_signal(self, loading: Loading) -> np.ndarray:
         return (self.Y @ loading.matrix) @ loading.matrix.T / self.N
 
 
-def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W_t x_t for every row t, through the band of W (see epv_weight_bands).
+def _weight_tiles(M: np.ndarray, term: int, discount: float) -> list:
+    """The EPV weight matrices W_t of every row t of a (T, N) rate matrix, in tiles.
 
-    x is (..., T, N), with any leading candidate axes; the result is
-    (..., T, width).
+    Row i of W_t is zero outside columns i .. i + term - 2 (epv_weight_bands).
+    Tile (lo, hi, A) covers rows lo .. hi-1: A is (T, hi - lo + term - 2,
+    hi - lo) and holds their transpose over the columns from lo that they
+    reach. Dense tiles let BLAS weigh candidates row by row, at a fraction
+    of the memory and work of the dense (T, width, N) stack.
     """
-    width = band.shape[1]
-    out = np.zeros(x.shape[:-1] + (width,))
-    for j in range(band.shape[2]):
-        out += band[:, :, j] * x[..., j : j + width]
+    bands = epv_weight_bands(M, term, discount)
+    T, width, depth = bands.shape
+    tiles = []
+    for lo in range(0, width, _TILE):
+        hi = min(lo + _TILE, width)
+        A = np.zeros((T, hi - lo + depth - 1, hi - lo))
+        idx = np.arange(hi - lo)
+        for j in range(depth):
+            A[:, idx + j, idx] = bands[:, lo:hi, j]
+        tiles.append((lo, hi, A))
+    return tiles
+
+
+def _weigh(tiles: list, x: np.ndarray) -> np.ndarray:
+    """W_t x_tb for every row t and candidate b of a (T, B, N) stack; the
+    result is (T, B, width)."""
+    out = np.empty(x.shape[:2] + (tiles[-1][1],))
+    for lo, hi, A in tiles:
+        np.matmul(x[:, :, lo : lo + A.shape[1]], A, out=out[:, :, lo:hi])
     return out
 
 
-def _band_adjoint(band: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+def _weigh_adjoint(tiles: list, z: np.ndarray, n: int) -> np.ndarray:
     """W_t^T z_t for every row t of a (T, width) array; the result is (T, n)."""
-    width = band.shape[1]
     out = np.zeros((z.shape[0], n))
-    for j in range(band.shape[2]):
-        out[:, j : j + width] += band[:, :, j] * z
+    for lo, hi, A in tiles:
+        out[:, lo : lo + A.shape[1]] += np.matmul(A, z[:, lo:hi, None])[:, :, 0]
     return out
 
 
@@ -188,42 +218,51 @@ class _DecisionProblem(_Problem):
             self.intercepts = [g.intercept_for(p.group) for p in data.panels]
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
-            self.bands = [epv_weight_bands(m, g.term, g.discount) for m in self.m_obs]
+            self.tiles = [_weight_tiles(m, g.term, g.discount) for m in self.m_obs]
 
     def _recon(self, k: int, M: np.ndarray) -> np.ndarray:
         return (self.ys[k] @ M) @ M.T / self.N
 
     def _residual(self, k: int, recon: np.ndarray) -> np.ndarray:
-        """g(recon) - g(y) for group k, or in taylor mode W (m_recon - m_obs).
-
-        recon is (..., T, N) with any leading candidate axes.
-        """
-        if self.taylor:
-            return _band_apply(self.bands[k], np.exp(recon + self.intercepts[k]) - self.m_obs[k])
+        """g(recon) - g(y) for group k; recon may carry leading candidate axes."""
         return decision_residual(self.g, self.groups[k], self.ys[k], recon)
 
     def _error_parts(self, k: int, M: np.ndarray):
         """Return (error_k, Z_k) where Z_k stacks the per-sample z vectors."""
         recon = self._recon(k, M)
-        d = self._residual(k, recon)
-        error = float((d * d).sum()) / self.rows[k]
         if self.g.kind == "elementwise":
-            return error, self.g.funcs()[1](recon) * d
+            d = self._residual(k, recon)
+            return float((d * d).sum()) / self.rows[k], self.g.funcs()[1](recon) * d
         m_recon = np.exp(recon + self.intercepts[k])
         if self.taylor:
-            return error, m_recon * _band_adjoint(self.bands[k], d, self.N)  # W^T W e
+            d = _weigh(self.tiles[k], (m_recon - self.m_obs[k])[:, None, :])[:, 0, :]
+            error = float((d * d).sum()) / self.rows[k]
+            return error, m_recon * _weigh_adjoint(self.tiles[k], d, self.N)  # W^T W e
+        d = self._residual(k, recon)
+        error = float((d * d).sum()) / self.rows[k]
         inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
-        bands = epv_weight_bands(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
-        u = _band_adjoint(bands, d, self.N)  # W(m_recon)^T d
+        tiles = _weight_tiles(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
+        u = _weigh_adjoint(tiles, d, self.N)  # W(m_recon)^T d
         return error, np.where(inside, m_recon, 0.0) * u
 
-    def errors_batch(self, stack: np.ndarray) -> np.ndarray:
-        """(B, K) errors for a (B, N, r) stack of candidate loadings."""
+    def _errors_batch(self, stack: np.ndarray) -> np.ndarray:
+        """In taylor mode the reconstructions are laid out row by row,
+        (T, B, N), so that each row's W_t weighs all candidates in one
+        matrix product.
+        """
         out = np.empty((stack.shape[0], len(self.ys)))
         for k, Y in enumerate(self.ys):
-            C = np.matmul(Y, stack)  # (B, T, r)
-            e = self._residual(k, np.matmul(C, stack.transpose(0, 2, 1)) / self.N)
-            out[:, k] = (e * e).sum(axis=(1, 2)) / self.rows[k]
+            scores = np.matmul(Y, stack) / self.N  # (B, T, r)
+            if self.taylor:
+                e = np.einsum("btq,bnq->tbn", scores, stack)
+                e += self.intercepts[k]
+                np.exp(e, out=e)
+                e -= self.m_obs[k][:, None, :]
+                d = _weigh(self.tiles[k], e)  # (T, B, width)
+                out[:, k] = np.einsum("tbw,tbw->b", d, d) / self.rows[k]
+            else:
+                d = self._residual(k, np.matmul(scores, stack.transpose(0, 2, 1)))
+                out[:, k] = (d * d).sum(axis=(1, 2)) / self.rows[k]
         return out
 
     def errors_and_grads(self, loading: Loading):
@@ -232,8 +271,7 @@ class _DecisionProblem(_Problem):
         for k, Y in enumerate(self.ys):
             err, Z = self._error_parts(k, M)
             errors.append(err)
-            C = Z.T @ Y + Y.T @ Z
-            grads.append((2.0 / (self.rows[k] * self.N)) * (C @ M))
+            grads.append((2.0 / (self.rows[k] * self.N)) * (Z.T @ (Y @ M) + Y.T @ (Z @ M)))
         return np.array(errors), grads
 
     def stop_signal(self, loading: Loading) -> np.ndarray:
@@ -304,11 +342,28 @@ def fair_decision_gradient(
     return _problem(data, g, penalty).gradient(loading)
 
 
+def _scaled_polar(stack: np.ndarray):
+    """sqrt(N) times the polar factor of every (N, r) matrix of a stack, and
+    which of them have one: singular values above 1e-12 of the largest.
+
+    A single column's polar factor is the column over its norm, at a
+    fraction of the cost of the batched SVD that wider loadings take.
+    """
+    n, r = stack.shape[1:]
+    if r == 1:
+        norms = np.linalg.norm(stack, axis=1, keepdims=True)
+        valid = norms[:, 0, 0] > 0.0
+        return np.sqrt(n) * stack / np.where(norms > 0.0, norms, 1.0), valid
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    valid = (s[:, 0] > 0.0) & (s[:, -1] > 1e-12 * s[:, 0])
+    return np.sqrt(n) * np.einsum("bij,bjk->bik", u, vt), valid
+
+
 def _step(problem, loading: Loading, grad: np.ndarray, current: float):
     """Exact search along -grad over _STEP_GRID, with the scaled polar projection.
 
-    Projects every grid candidate with one batched SVD and evaluates all of
-    them through the problem's batched error kernel. Returns
+    Projects every grid candidate at once (_scaled_polar) and evaluates all
+    of them through the problem's batched error kernel. Returns
     (eta, next_loading, next_objective, next_errors), or
     (0, loading, current, None) when every step loses more than _IMPROVEMENT_TOL.
     """
@@ -317,14 +372,11 @@ def _step(problem, loading: Loading, grad: np.ndarray, current: float):
     if gnorm == 0.0:
         return 0.0, loading, current, None
     etas = _STEP_GRID * (float(np.linalg.norm(L)) / gnorm)
-    stack = L[None] - etas[:, None, None] * grad[None]
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    valid = (s[:, 0] > 0.0) & (s[:, -1] > 1e-12 * s[:, 0])
+    projected, valid = _scaled_polar(L[None] - etas[:, None, None] * grad[None])
     if not valid.any():
         # unreachable for finite input: the smallest step keeps
         # sigma_min >= sqrt(N) (1 - 1e-6 sqrt(r)) > 0
         raise FloatingPointError("every grid step is rank-deficient")
-    projected = np.sqrt(L.shape[0]) * np.einsum("bij,bjk->bik", u, vt)
     errors = problem.errors_batch(projected)
     values = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
     values = np.where(valid & np.isfinite(values), values, np.inf)
@@ -341,10 +393,16 @@ class _RunState:
     trace: list[float]
     log: list[dict]
     iterations: int
-    converged: bool
+    stop_reason: str
+    evaluations: int  # candidate loadings priced, the start included
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iterations"
 
 
 def _pgd(problem, start: Loading, opts: OptimizerOptions) -> _RunState:
+    priced = problem.evaluations
     loading = start
     errors = problem.errors(loading)
     obj = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
@@ -353,7 +411,7 @@ def _pgd(problem, start: Loading, opts: OptimizerOptions) -> _RunState:
     signal = problem.stop_signal(loading)
     signal_norm = float(np.linalg.norm(signal))
     stagnant = 0
-    converged = False
+    stop = "max_iterations"
     for iterations in range(1, opts.max_iterations + 1):
         grad = problem.gradient(loading)
         eta, nxt, obj_next, errors_next = _step(problem, loading, grad, obj)
@@ -368,19 +426,22 @@ def _pgd(problem, start: Loading, opts: OptimizerOptions) -> _RunState:
                 "step_size": eta,
             }
         )
+        if errors_next is None:
+            stop = "no_descent"
+            break
         new_signal = problem.stop_signal(nxt)
         diff = float(np.linalg.norm(new_signal - signal))
         rel = 0.0 if diff == 0.0 else diff / max(signal_norm, 1e-300)
         improvement = obj - obj_next
         loading, obj, signal, signal_norm = nxt, obj_next, new_signal, float(np.linalg.norm(new_signal))
         if rel <= opts.convergence_epsilon:
-            converged = True
+            stop = "small_change"
             break
         stagnant = stagnant + 1 if improvement < _STAGNATION_TOL else 0
         if stagnant >= _STAGNATION_LIMIT:
-            converged = True
+            stop = "stagnation"
             break
-    return _RunState(loading, obj, trace, log, iterations, converged)
+    return _RunState(loading, obj, trace, log, iterations, stop, problem.evaluations - priced)
 
 
 def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransform) -> FitResult:
@@ -397,7 +458,9 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
         if best is None or run.objective < best.objective:
             best = run
     assert best is not None
-    loading = Loading(fix_column_signs(best.loading.matrix))
+    M, grad = best.loading.matrix, problem.gradient(best.loading)
+    gradient_norm = float(np.linalg.norm(grad - M @ (M.T @ grad) / N))  # Riemannian: tangent part
+    loading = Loading(fix_column_signs(M))
     errors = decision_errors(data, loading, g)
     clipped = 0  # reconstructed annuity rates above 1, which pricing clips
     if g.kind == "annuity":
@@ -417,6 +480,9 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
         groups=data.groups,
         iteration_log=tuple(best.log),
         clipped_rates=clipped,
+        stop_reason=best.stop_reason,
+        gradient_norm=gradient_norm,
+        evaluations=best.evaluations,
     )
 
 
@@ -424,9 +490,12 @@ def fit_fair_factor(data: GroupedPanel, r: int, opts: OptimizerOptions) -> FitRe
     """Projected gradient descent on the fair-factor objective.
 
     Starts at the principal-components solution plus restarts-1 random draws
-    and keeps the best final objective. Stops when the relative change of the
-    reconstruction Y L L^T / N drops below convergence_epsilon, when the
-    objective stagnates, or at max_iterations (converged=False).
+    and keeps the best final objective. A run stops when the relative change
+    of the reconstruction Y L L^T / N drops below convergence_epsilon
+    (stop_reason "small_change"), after _STAGNATION_LIMIT steps that each gain
+    less than _STAGNATION_TOL ("stagnation"), when no grid step improves the
+    objective ("no_descent"), or at max_iterations ("max_iterations", the only
+    one with converged=False).
     """
     return _fit(data, r, opts, identity_transform())
 

@@ -81,6 +81,25 @@ def test_readme_example_config_resolves():
 # ------------------------------------------------------------- exit codes
 
 
+@pytest.mark.parametrize(
+    "command,setting",
+    [
+        ("fit", "lambda=nan"),
+        ("fit", "lambda=inf"),
+        ("fit", "epsilon=nan"),
+        ("repro", "repro_lambda_factor=nan"),
+        ("repro", "repro_lambda_decision=nan"),
+        ("cv", "cv_lambdas=0,nan"),
+        ("cv", "cv_lambda_cap=nan"),
+    ],
+)
+def test_non_finite_optimizer_settings_are_config_errors(tmp_path, capsys, hmd_file, command, setting):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=fair-factor\ncv_folds=2\nmax_iterations=20\n")
+    assert run_cli(command, "--config", str(cfg), "--set", setting, "--out", str(tmp_path / "o")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and setting.split("=")[0] in record["message"]
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code = run_cli("fit", "--set", "mystery=1", "--out", str(tmp_path / "o"))
     assert code == 2

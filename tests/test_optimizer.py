@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from fairfactor import optimizer
 from fairfactor.dataset import GroupedPanel, Panel, synthesize
 from fairfactor.factor import Loading, fit_pca, group_errors, pairwise_unfairness, reconstruction_error
 from fairfactor.linalg import nearest_orthonormal, principal_angle
 from fairfactor.optimizer import (
     _STEP_GRID,
     OptimizerOptions,
+    _DecisionProblem,
     _FactorProblem,
     _step,
+    _weight_tiles,
     annuity_taylor_objective,
     fair_decision_gradient,
     fair_decision_objective,
@@ -20,6 +23,7 @@ from fairfactor.optimizer import (
 )
 from fairfactor.transforms import (
     annuity_transform_for,
+    apply_transform,
     decision_errors,
     elementwise_transform,
     epv_weights_stack,
@@ -294,6 +298,43 @@ def test_annuity_exact_gradient_matches_finite_differences():
     assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
 
 
+@pytest.mark.parametrize("mode", ["taylor", "exact"])
+def test_annuity_kernel_across_weight_tiles(mode):
+    # term 5 at N = 40 gives weight bands 37 rows wide: several tiles, whose
+    # overlapping column ranges the batched errors and the gradient must add up
+    rng = np.random.default_rng(16)
+    data = annuity_panels(rng, T1=7, T2=6, N=40, spread=0.1)
+    g = annuity_transform_for(data, term=5, discount=0.95, annuity_mode=mode)
+    assert len(_weight_tiles(np.exp(data.panels[0].y + data.panels[0].intercept), 5, 0.95)) > 1
+    lam = 1.3
+    weights = {p.group: epv_weights_stack(np.exp(p.y + p.intercept), 5, 0.95) for p in data.panels}
+
+    def group_errors_oracle(M):
+        errs = []
+        for p in data.panels:
+            recon = (p.y @ M) @ M.T / data.n_ages
+            if mode == "taylor":
+                e = np.exp(recon + p.intercept) - np.exp(p.y + p.intercept)
+                d = np.einsum("tij,tj->ti", weights[p.group], e)
+            else:
+                d = apply_transform(g, p.group, recon) - apply_transform(g, p.group, p.y)
+            errs.append(float((d**2).sum()) / p.n_years)
+        return np.array(errs)
+
+    def oracle(M):
+        errs = group_errors_oracle(M)
+        return errs @ data.group_rows / data.total_rows + lam * (errs[0] - errs[1]) ** 2
+
+    problem = _DecisionProblem(data, g, lam)
+    stack = np.stack([random_loading(rng, 40, 2).matrix for _ in range(5)])
+    expected = np.array([group_errors_oracle(M) for M in stack])
+    np.testing.assert_allclose(problem.errors_batch(stack), expected, rtol=1e-12)
+    L = Loading(stack[0])
+    grad = fair_decision_gradient(data, L, lam, g)
+    fd = fd_gradient(oracle, L.matrix, 1e-6 * np.linalg.norm(L.matrix))
+    assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
+
+
 # ---------------------------------------------------------------- line search
 
 
@@ -436,6 +477,47 @@ def test_fit_reports_nonconvergence_without_raising():
     # with such a tiny budget from a random-free PCA start convergence may
     # happen, but the call must not raise and must report the flag honestly
     assert isinstance(fit.converged, bool)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("penalty", np.nan), ("penalty", np.inf), ("penalty", -1.0),
+     ("convergence_epsilon", np.nan), ("convergence_epsilon", np.inf), ("convergence_epsilon", 0.0)],
+)
+def test_options_reject_non_finite_and_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match="penalty" if field == "penalty" else "epsilon"):
+        OptimizerOptions(**{field: value})
+
+
+def test_capped_fit_reports_its_stop_and_diagnostics():
+    rng = np.random.default_rng(17)
+    data = annuity_panels(rng, T1=8, T2=8, N=6)
+    g = annuity_transform_for(data, term=3, discount=0.95)
+    fit = fit_fair_decision(data, 1, OptimizerOptions(penalty=4.0, restarts=2, max_iterations=3), g)
+    assert fit.stop_reason == "max_iterations" and not fit.converged and fit.iterations == 3
+    assert fit.evaluations == 1 + 3 * len(_STEP_GRID)  # the start, then one grid per step
+    M, G = fit.loading.matrix, fair_decision_gradient(data, fit.loading, 4.0, g)
+    assert fit.gradient_norm == pytest.approx(np.linalg.norm(G - M @ (M.T @ G) / 6), rel=1e-9)
+    assert fit.gradient_norm > 0.0
+
+
+def test_ascent_direction_stops_as_no_descent(monkeypatch):
+    # a 0/1 panel with total Gram matrix diag(4, 2, 1, 0): the PCA start is
+    # exactly 2 e_1; against the reversed gradient no grid step improves it
+    data = panel_pair(
+        np.array([[1.0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]]),
+        np.array([[1.0, 0, 0, 0], [1, -1, 0, 0]]),
+    )
+    pca = fit_pca(data, 1)
+    assert np.array_equal(pca.loading.matrix[:, 0], [2.0, 0.0, 0.0, 0.0])
+    gradient = optimizer._Problem.gradient
+    monkeypatch.setattr(optimizer._Problem, "gradient", lambda self, loading: -gradient(self, loading))
+    fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=8.0, restarts=1))
+    assert fit.stop_reason == "no_descent" and fit.converged
+    assert fit.iterations == 1 and fit.iteration_log[0]["step_size"] == 0.0
+    assert fit.objective_trace[1] == fit.objective_trace[0]
+    assert fit.evaluations == 1 + len(_STEP_GRID)
+    assert np.array_equal(fit.loading.matrix, pca.loading.matrix)
 
 
 def test_annuity_exact_mode_validates_taylor_fit():
