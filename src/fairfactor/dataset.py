@@ -78,8 +78,8 @@ def parse_hmd_1x1(text: str | Iterable[str]) -> MortalityTable:
 
     The first two lines are headers. A column-name line starting with "Year"
     is tolerated wherever it appears. Age "110+" maps to 110, missing rates
-    "." map to NaN. Years must be non-decreasing; duplicate (year, age) cells
-    are rejected.
+    "." map to NaN. Years must lie in 0-9999 and ages in 0-110, years must be
+    non-decreasing, and duplicate (year, age) cells are rejected.
     """
     lines = text.splitlines() if isinstance(text, str) else list(text)
     years: list[int] = []
@@ -111,6 +111,8 @@ def parse_hmd_1x1(text: str | Iterable[str]) -> MortalityTable:
             age = int(age_token)
         except ValueError:
             raise HmdFormatError(f"line {lineno}: unreadable age {tokens[1]!r}") from None
+        if not (0 <= year <= 9999 and 0 <= age <= OPEN_AGE_CLASS):
+            raise HmdFormatError(f"line {lineno}: year {year} or age {age} outside 0-9999, 0-{OPEN_AGE_CLASS}")
         if prev_year is not None and year < prev_year:
             raise HmdFormatError(f"line {lineno}: year {year} breaks the non-decreasing year order")
         prev_year = year

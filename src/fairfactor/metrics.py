@@ -5,7 +5,6 @@ the total satisfying total^2 * T = sum_k T_k * group_k^2. Fairness is the
 absolute difference of the per-group RMSEs (largest pairwise gap for K > 2).
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,6 +184,8 @@ def cross_validate_lambda(
         for j in range(k)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_evaluate_fold, [t[2] for t in tasks]))
     else:

@@ -219,6 +219,7 @@ class _DecisionProblem(_Problem):
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
             self.tiles = [_weight_tiles(m, g.term, g.discount) for m in self.m_obs]
+            self._workspace: dict = {}  # (rows, batch) -> (rates, tile) buffers of _errors_batch
 
     def _recon(self, k: int, M: np.ndarray) -> np.ndarray:
         return (self.ys[k] @ M) @ M.T / self.N
@@ -248,18 +249,29 @@ class _DecisionProblem(_Problem):
     def _errors_batch(self, stack: np.ndarray) -> np.ndarray:
         """In taylor mode the reconstructions are laid out row by row,
         (T, B, N), so that each row's W_t weighs all candidates in one
-        matrix product.
+        matrix product. They are written into a workspace kept per (T, B),
+        and weighed one tile at a time, so a step allocates no (T, B, N)
+        array.
         """
-        out = np.empty((stack.shape[0], len(self.ys)))
+        B = stack.shape[0]
+        out = np.empty((B, len(self.ys)))
         for k, Y in enumerate(self.ys):
             scores = np.matmul(Y, stack) / self.N  # (B, T, r)
             if self.taylor:
-                e = np.einsum("btq,bnq->tbn", scores, stack)
+                key = (len(Y), B)
+                if key not in self._workspace:
+                    self._workspace[key] = (np.empty((len(Y), B, self.N)), np.empty((len(Y), B, _TILE)))
+                e, buffer = self._workspace[key]
+                np.einsum("btq,bnq->tbn", scores, stack, out=e)
                 e += self.intercepts[k]
                 np.exp(e, out=e)
                 e -= self.m_obs[k][:, None, :]
-                d = _weigh(self.tiles[k], e)  # (T, B, width)
-                out[:, k] = np.einsum("tbw,tbw->b", d, d) / self.rows[k]
+                sums = np.zeros(B)
+                for lo, hi, A in self.tiles[k]:  # d = W_t e, one tile of its columns at a time
+                    d = buffer[:, :, : hi - lo]
+                    np.matmul(e[:, :, lo : lo + A.shape[1]], A, out=d)
+                    sums += np.einsum("tbw,tbw->b", d, d)
+                out[:, k] = sums / self.rows[k]
             else:
                 d = self._residual(k, np.matmul(scores, stack.transpose(0, 2, 1)))
                 out[:, k] = (d * d).sum(axis=(1, 2)) / self.rows[k]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import hmd_text
 
 from fairfactor.dataset import (
     DataError,
@@ -58,6 +59,69 @@ def test_parse_rejects_year_disorder():
 def test_parse_rejects_duplicates():
     with pytest.raises(HmdFormatError, match="duplicate"):
         table_from("1921  0  0.1  0.1  0.1\n1921  0  0.2  0.2  0.2\n")
+
+
+@pytest.mark.parametrize(
+    "year, age", [("1995", "-3"), ("-1995", "3"), ("1995", "111"), ("1" * 20, "3"), ("1995", "1" * 20 + "+")]
+)
+def test_parse_rejects_out_of_range_year_or_age(year, age):
+    # a negative age used to surface later as a missing cell at its absolute
+    # value, and a 20-digit one as an OverflowError
+    with pytest.raises(HmdFormatError, match="line 5: year .* or age .* outside"):
+        table_from(f"1995  2  0.1  0.1  0.1\n{year}  {age}  0.1  0.1  0.1\n")
+
+
+FUZZ_TOKENS = (
+    "-3", "-1950", ".", "nan", "inf", "-inf", "1e400", "-0.01", "0", "1e-320", "abc",
+    "110+", "+", "3+", "1.5", "2005.0", "99999", "0x10", "-0", "1" * 12, "1" * 20,
+)
+
+
+def mutate_lines(lines, rng):
+    """One to three random edits: replace a token, delete, duplicate, swap,
+    truncate a line, or insert a character."""
+    lines = list(lines)
+    for _ in range(rng.integers(1, 4)):
+        i = int(rng.integers(len(lines)))
+        op = int(rng.integers(6))
+        if op == 0:
+            tokens = lines[i].split() or [""]
+            tokens[int(rng.integers(len(tokens)))] = FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))]
+            lines[i] = "  ".join(tokens)
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        elif op == 3:
+            j = int(rng.integers(len(lines)))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 4:
+            lines[i] = lines[i][: int(rng.integers(len(lines[i]) + 1))]
+        else:
+            k = int(rng.integers(len(lines[i]) + 1))
+            lines[i] = lines[i][:k] + "0123456789-+. x"[int(rng.integers(15))] + lines[i][k:]
+    return lines
+
+
+def test_parse_and_build_fuzz_fail_only_with_data_errors():
+    # seeded mutations of a 16-age file; like the CLI, the year window is the
+    # table's own. Every outcome is a panel pair or a DataError (exit code 3).
+    rng = np.random.default_rng(2024)
+    base = hmd_text().splitlines()
+    outcomes = {"built": 0, "rejected": 0}
+    for _ in range(200):
+        text = "\n".join(mutate_lines(base, rng))
+        try:
+            table = parse_hmd_1x1(text)
+            if len(table.years) == 0:
+                raise DataError("no data rows")
+            window = (int(table.years.min()), int(table.years.max()))
+            for group in ("male", "female"):
+                build_panel(table, group, ages=(0, 15), years=window)
+            outcomes["built"] += 1
+        except DataError:
+            outcomes["rejected"] += 1
+    assert outcomes["built"] > 0 and outcomes["rejected"] > 0
 
 
 def synthetic_table(years, ages, fn):

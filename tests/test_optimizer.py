@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,13 +328,34 @@ def test_annuity_kernel_across_weight_tiles(mode):
         return errs @ data.group_rows / data.total_rows + lam * (errs[0] - errs[1]) ** 2
 
     problem = _DecisionProblem(data, g, lam)
-    stack = np.stack([random_loading(rng, 40, 2).matrix for _ in range(5)])
-    expected = np.array([group_errors_oracle(M) for M in stack])
-    np.testing.assert_allclose(problem.errors_batch(stack), expected, rtol=1e-12)
-    L = Loading(stack[0])
+    # batches of 5, 1 and 5 on groups of 7 and 6 rows: in taylor mode later
+    # calls reuse the workspace of earlier ones, so no result may alias it
+    stacks = [np.stack([random_loading(rng, 40, 2).matrix for _ in range(b)]) for b in (5, 1, 5)]
+    results = [problem.errors_batch(stack) for stack in stacks]
+    for stack, result in zip(stacks, results):
+        np.testing.assert_allclose(result, [group_errors_oracle(M) for M in stack], rtol=1e-12)
+    L = Loading(stacks[0][0])
     grad = fair_decision_gradient(data, L, lam, g)
     fd = fd_gradient(oracle, L.matrix, 1e-6 * np.linalg.norm(L.matrix))
     assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
+
+
+def test_taylor_step_allocates_no_candidate_stack():
+    # after a warm-up step, the taylor step prices its 25 candidates inside
+    # the problem's workspace: no (T, 25, N) array is allocated per step
+    rng = np.random.default_rng(18)
+    data = annuity_panels(rng, T1=60, T2=60, N=80, spread=0.1)
+    problem = _DecisionProblem(data, annuity_transform_for(data, term=10, discount=0.95), 2.0)
+    L = random_loading(rng, 80, 1)
+    grad, current = problem.gradient(L), problem.objective(L)
+    _step(problem, L, grad, current)
+    tracemalloc.start()
+    try:
+        _step(problem, L, grad, current)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * len(_STEP_GRID) * 80 * 8 / 4
 
 
 # ---------------------------------------------------------------- line search
