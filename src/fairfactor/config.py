@@ -194,7 +194,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     if path:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
         raw.update(parse_config_text(text, source=path))
     for item in overrides:

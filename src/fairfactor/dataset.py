@@ -8,6 +8,7 @@ rates can be recovered exactly.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -68,7 +69,7 @@ def _parse_rate(token: str, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise HmdFormatError(f"line {lineno}: unreadable rate {token!r}") from None
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise HmdFormatError(f"line {lineno}: rate {token!r} is not a finite non-negative number")
     return value
 

@@ -18,7 +18,9 @@ forms coincide.
 """
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,7 @@ _IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
 _STAGNATION_TOL = 1e-14
 _STAGNATION_LIMIT = 20
 _TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
+_CHUNK_BYTES = 1 << 18  # per-loading (rows, N) arrays of one kernel call stay under this many bytes
 
 
 @dataclass(frozen=True)
@@ -94,39 +97,48 @@ def _combine(errors: np.ndarray, rows: np.ndarray, total_rows: int, penalty: flo
 def _penalized_gradient(
     errors: np.ndarray, grads: list[np.ndarray], rows: np.ndarray, total_rows: int, penalty: float
 ) -> np.ndarray:
+    """Penalized gradients of a stack from its (R, K) group errors and K (R, N, r) group gradients."""
     out = sum((rows[k] / total_rows) * grads[k] for k in range(len(grads)))
     if penalty:
         for k in range(len(grads)):
             for kp in range(k + 1, len(grads)):
-                out = out + 2.0 * penalty * (errors[k] - errors[kp]) * (grads[k] - grads[kp])
+                weight = 2.0 * penalty * (errors[:, k] - errors[:, kp])
+                out = out + weight[:, None, None] * (grads[k] - grads[kp])
     return out
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every item of a stack. Each is one dot product of
+    the flattened item, the same one np.linalg.norm takes, to the bit."""
+    flat = stack.reshape(len(stack), 1, math.prod(stack.shape[1:]))
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+
 class _Problem:
-    """Penalized objective and gradient from a subclass's per-group errors:
-    _errors_batch for a (B, N, r) stack of candidates, and errors_and_grads.
-    `evaluations` counts the candidates priced through errors_batch."""
+    """Penalized objective and gradients from a subclass's per-group errors:
+    errors_batch for a (B, N, r) stack of candidates, errors_and_grads and
+    stop_signals for a (R, N, r) stack of iterates.
+
+    A loading's result does not depend on the rest of its stack, to the bit:
+    the kernels take one matrix product per loading (np.matmul over the
+    stack), or rows of one product over many candidates, whose rounding
+    does not depend on how many rows it has.
+    """
 
     def __init__(self, data: GroupedPanel, penalty: float):
         self.penalty = penalty
         self.N = data.n_ages
         self.rows = data.group_rows
         self.total_rows = data.total_rows
-        self.evaluations = 0
-
-    def errors_batch(self, stack: np.ndarray) -> np.ndarray:
-        """(B, K) errors for a (B, N, r) stack of candidate loadings."""
-        self.evaluations += len(stack)
-        return self._errors_batch(stack)
-
-    def errors(self, loading: Loading) -> np.ndarray:
-        return self.errors_batch(loading.matrix[None])[0]
+        # loadings per call of the kernels that build (rows, N) arrays per loading
+        self.chunk = max(1, _CHUNK_BYTES // (8 * self.total_rows * self.N))
 
     def objective(self, loading: Loading) -> float:
-        return _combine(self.errors(loading), self.rows, self.total_rows, self.penalty)
+        return _combine(self.errors_batch(loading.matrix[None])[0], self.rows, self.total_rows, self.penalty)
 
-    def gradient(self, loading: Loading) -> np.ndarray:
-        errors, grads = self.errors_and_grads(loading)
+    def gradients(self, stack: np.ndarray) -> np.ndarray:
+        """(R, N, r) penalized gradients of a (R, N, r) stack of loadings."""
+        errors, grads = self.errors_and_grads(stack)
         return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
 
 
@@ -139,24 +151,29 @@ class _FactorProblem(_Problem):
         self.sq = [float((p.y**2).sum()) for p in data.panels]
         self.Y = data.stacked()
 
-    def _errors_batch(self, stack: np.ndarray) -> np.ndarray:
+    def errors_batch(self, stack: np.ndarray) -> np.ndarray:
         B, N, r = stack.shape
         columns = stack.transpose(0, 2, 1).reshape(B * r, N)  # one product for every candidate
         out = np.empty((B, len(self.grams)))
         for k, gram in enumerate(self.grams):
-            quad = ((columns @ gram) * columns).sum(axis=1).reshape(B, r).sum(axis=1)
+            product = columns @ gram
+            product *= columns
+            quad = product.sum(axis=1).reshape(B, r).sum(axis=1)
             out[:, k] = (self.sq[k] - quad / self.N) / self.rows[k]
         return out
 
-    def errors_and_grads(self, loading: Loading):
-        M = loading.matrix
-        products = [gram @ M for gram in self.grams]
-        errors = [(sq - float((M * GM).sum()) / self.N) / t for sq, GM, t in zip(self.sq, products, self.rows)]
+    def errors_and_grads(self, stack: np.ndarray):
+        products = [np.matmul(gram, stack) for gram in self.grams]
+        quads = [(stack * GM).sum(axis=(1, 2)) for GM in products]
+        errors = np.stack([(sq - q / self.N) / t for sq, q, t in zip(self.sq, quads, self.rows)], axis=1)
         grads = [(-2.0 / (t * self.N)) * GM for t, GM in zip(self.rows, products)]
-        return np.array(errors), grads
+        return errors, grads
 
-    def stop_signal(self, loading: Loading) -> np.ndarray:
-        return (self.Y @ loading.matrix) @ loading.matrix.T / self.N
+    def stop_signals(self, stack: np.ndarray) -> np.ndarray:
+        """The reconstruction Y L L^T / N of every loading of the stack."""
+        out = np.matmul(np.matmul(self.Y, stack), stack.transpose(0, 2, 1))
+        out /= self.N
+        return out
 
 
 def _weight_tiles(M: np.ndarray, term: int, discount: float) -> list:
@@ -182,19 +199,19 @@ def _weight_tiles(M: np.ndarray, term: int, discount: float) -> list:
 
 
 def _weigh(tiles: list, x: np.ndarray) -> np.ndarray:
-    """W_t x_tb for every row t and candidate b of a (T, B, N) stack; the
-    result is (T, B, width)."""
-    out = np.empty(x.shape[:2] + (tiles[-1][1],))
+    """W_t x_t for every row t of a (..., T, N) stack; the result is
+    (..., T, width). Each row is its own vector-matrix product."""
+    out = np.empty(x.shape[:-1] + (tiles[-1][1],))
     for lo, hi, A in tiles:
-        np.matmul(x[:, :, lo : lo + A.shape[1]], A, out=out[:, :, lo:hi])
+        np.matmul(x[..., None, lo : lo + A.shape[1]], A, out=out[..., None, lo:hi])
     return out
 
 
 def _weigh_adjoint(tiles: list, z: np.ndarray, n: int) -> np.ndarray:
-    """W_t^T z_t for every row t of a (T, width) array; the result is (T, n)."""
-    out = np.zeros((z.shape[0], n))
+    """W_t^T z_t for every row t of a (..., T, width) stack; the result is (..., T, n)."""
+    out = np.zeros(z.shape[:-1] + (n,))
     for lo, hi, A in tiles:
-        out[:, lo : lo + A.shape[1]] += np.matmul(A, z[:, lo:hi, None])[:, :, 0]
+        out[..., lo : lo + A.shape[1]] += np.matmul(A, z[..., lo:hi, None])[..., 0]
     return out
 
 
@@ -219,34 +236,37 @@ class _DecisionProblem(_Problem):
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
             self.tiles = [_weight_tiles(m, g.term, g.discount) for m in self.m_obs]
-            self._workspace: dict = {}  # (rows, batch) -> (rates, tile) buffers of _errors_batch
+            self._workspace: dict = {}  # (rows, chunk) -> (rates, tile) buffers of _errors_chunk
 
-    def _recon(self, k: int, M: np.ndarray) -> np.ndarray:
-        return (self.ys[k] @ M) @ M.T / self.N
+    def _recon(self, k: int, stack: np.ndarray) -> np.ndarray:
+        return np.matmul(np.matmul(self.ys[k], stack), stack.transpose(0, 2, 1)) / self.N
 
-    def _residual(self, k: int, recon: np.ndarray) -> np.ndarray:
-        """g(recon) - g(y) for group k; recon may carry leading candidate axes."""
-        return decision_residual(self.g, self.groups[k], self.ys[k], recon)
-
-    def _error_parts(self, k: int, M: np.ndarray):
-        """Return (error_k, Z_k) where Z_k stacks the per-sample z vectors."""
-        recon = self._recon(k, M)
+    def _error_parts(self, k: int, stack: np.ndarray):
+        """Return ((R,) error_k, (R, T, N) Z_k), where Z_k stacks the per-sample z vectors."""
+        recon = self._recon(k, stack)
         if self.g.kind == "elementwise":
-            d = self._residual(k, recon)
-            return float((d * d).sum()) / self.rows[k], self.g.funcs()[1](recon) * d
+            d = decision_residual(self.g, self.groups[k], self.ys[k], recon)
+            return (d * d).sum(axis=(1, 2)) / self.rows[k], self.g.funcs()[1](recon) * d
         m_recon = np.exp(recon + self.intercepts[k])
         if self.taylor:
-            d = _weigh(self.tiles[k], (m_recon - self.m_obs[k])[:, None, :])[:, 0, :]
-            error = float((d * d).sum()) / self.rows[k]
+            d = _weigh(self.tiles[k], m_recon - self.m_obs[k])
+            error = (d * d).sum(axis=(1, 2)) / self.rows[k]
             return error, m_recon * _weigh_adjoint(self.tiles[k], d, self.N)  # W^T W e
-        d = self._residual(k, recon)
-        error = float((d * d).sum()) / self.rows[k]
+        d = decision_residual(self.g, self.groups[k], self.ys[k], recon)
+        error = (d * d).sum(axis=(1, 2)) / self.rows[k]
         inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
-        tiles = _weight_tiles(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
-        u = _weigh_adjoint(tiles, d, self.N)  # W(m_recon)^T d
+        rates = np.clip(m_recon, 0.0, 1.0).reshape(-1, self.N)  # every sample of every loading is a row
+        tiles = _weight_tiles(rates, self.g.term, self.g.discount)
+        u = _weigh_adjoint(tiles, d.reshape(len(rates), -1), self.N).reshape(m_recon.shape)  # W(m_recon)^T d
         return error, np.where(inside, m_recon, 0.0) * u
 
-    def _errors_batch(self, stack: np.ndarray) -> np.ndarray:
+    def errors_batch(self, stack: np.ndarray) -> np.ndarray:
+        """Prices the stack len(_STEP_GRID) candidates at a time, so its
+        memory does not grow with the number of restarts."""
+        G = len(_STEP_GRID)
+        return np.concatenate([self._errors_chunk(stack[lo : lo + G]) for lo in range(0, len(stack), G)])
+
+    def _errors_chunk(self, stack: np.ndarray) -> np.ndarray:
         """In taylor mode the reconstructions are laid out row by row,
         (T, B, N), so that each row's W_t weighs all candidates in one
         matrix product. They are written into a workspace kept per (T, B),
@@ -273,23 +293,26 @@ class _DecisionProblem(_Problem):
                     sums += np.einsum("tbw,tbw->b", d, d)
                 out[:, k] = sums / self.rows[k]
             else:
-                d = self._residual(k, np.matmul(scores, stack.transpose(0, 2, 1)))
+                d = decision_residual(self.g, self.groups[k], Y, np.matmul(scores, stack.transpose(0, 2, 1)))
                 out[:, k] = (d * d).sum(axis=(1, 2)) / self.rows[k]
         return out
 
-    def errors_and_grads(self, loading: Loading):
-        M = loading.matrix
-        errors, grads = [], []
-        for k, Y in enumerate(self.ys):
-            err, Z = self._error_parts(k, M)
-            errors.append(err)
-            grads.append((2.0 / (self.rows[k] * self.N)) * (Z.T @ (Y @ M) + Y.T @ (Z @ M)))
-        return np.array(errors), grads
+    def errors_and_grads(self, stack: np.ndarray):
+        errors, grads = np.empty((len(stack), len(self.ys))), [np.empty_like(stack) for _ in self.ys]
+        for lo in range(0, len(stack), self.chunk):
+            part = slice(lo, lo + self.chunk)
+            M = stack[part]
+            for k, Y in enumerate(self.ys):
+                errors[part, k], Z = self._error_parts(k, M)
+                ZtYL = np.matmul(Z.transpose(0, 2, 1), np.matmul(Y, M))
+                grads[k][part] = (2.0 / (self.rows[k] * self.N)) * (ZtYL + np.matmul(Y.T, np.matmul(Z, M)))
+        return errors, grads
 
-    def stop_signal(self, loading: Loading) -> np.ndarray:
-        M = loading.matrix
-        blocks = [apply_transform(self.g, group, self._recon(k, M)) for k, group in enumerate(self.groups)]
-        return np.vstack(blocks)
+    def stop_signals(self, stack: np.ndarray) -> np.ndarray:
+        """g of the reconstruction of every loading of the stack: one
+        (R, T_k, width) pricing per group, stacked along the rows."""
+        recons = [self._recon(k, stack) for k in range(len(self.ys))]
+        return np.concatenate([apply_transform(self.g, *pair) for pair in zip(self.groups, recons)], axis=1)
 
 
 def _problem(data: GroupedPanel, g: DecisionTransform, penalty: float):
@@ -351,7 +374,7 @@ def fair_decision_gradient(
     """
     if penalty < 0.0:
         raise ValueError("penalty must be non-negative")
-    return _problem(data, g, penalty).gradient(loading)
+    return _problem(data, g, penalty).gradients(loading.matrix[None])[0]
 
 
 def _scaled_polar(stack: np.ndarray):
@@ -371,89 +394,160 @@ def _scaled_polar(stack: np.ndarray):
     return np.sqrt(n) * np.einsum("bij,bjk->bik", u, vt), valid
 
 
-def _step(problem, loading: Loading, grad: np.ndarray, current: float):
-    """Exact search along -grad over _STEP_GRID, with the scaled polar projection.
+class _Steps(NamedTuple):
+    """One grid step of every loading of a stack."""
 
-    Projects every grid candidate at once (_scaled_polar) and evaluates all
-    of them through the problem's batched error kernel. Returns
-    (eta, next_loading, next_objective, next_errors), or
-    (0, loading, current, None) when every step loses more than _IMPROVEMENT_TOL.
+    eta: np.ndarray  # (R,) step sizes; 0 where the loading stays
+    loadings: np.ndarray  # (R, N, r) next iterates
+    objectives: np.ndarray  # (R,) their objectives
+    errors: np.ndarray  # (R, K) their group errors; NaN where the loading stays
+    moved: np.ndarray  # (R,) whether the loading took a step
+    priced: np.ndarray  # (R,) whether its grid was priced: its gradient is nonzero
+
+
+def _step(problem, stack: np.ndarray, grads: np.ndarray, current: np.ndarray) -> _Steps:
+    """Exact search along -grad over _STEP_GRID for every loading of a
+    (R, N, r) stack, with the scaled polar projection.
+
+    Projects all R x len(_STEP_GRID) candidates at once (_scaled_polar) and
+    prices them with one errors_batch call. A loading stays, with step 0,
+    when its gradient is zero or every step loses more than _IMPROVEMENT_TOL
+    against its current objective.
     """
-    L = loading.matrix
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm == 0.0:
-        return 0.0, loading, current, None
-    etas = _STEP_GRID * (float(np.linalg.norm(L)) / gnorm)
-    projected, valid = _scaled_polar(L[None] - etas[:, None, None] * grad[None])
-    if not valid.any():
+    R, N, r = stack.shape
+    gnorm = _norms(grads)
+    priced = gnorm != 0.0  # a zero gradient's grid (the loading itself) is priced but never taken
+    etas = _STEP_GRID * (_norms(stack) / np.where(priced, gnorm, 1.0))[:, None]
+    candidates = stack[:, None] - etas[:, :, None, None] * grads[:, None]
+    projected, valid = _scaled_polar(candidates.reshape(-1, N, r))
+    valid = valid.reshape(etas.shape) & priced[:, None]
+    if not valid.any(axis=1)[priced].all():
         # unreachable for finite input: the smallest step keeps
         # sigma_min >= sqrt(N) (1 - 1e-6 sqrt(r)) > 0
         raise FloatingPointError("every grid step is rank-deficient")
-    errors = problem.errors_batch(projected)
-    values = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
+    batch_errors = problem.errors_batch(projected)
+    values = _combine(batch_errors, problem.rows, problem.total_rows, problem.penalty).reshape(etas.shape)
     values = np.where(valid & np.isfinite(values), values, np.inf)
-    best = int(np.argmin(values))
-    if values[best] > current + _IMPROVEMENT_TOL:
-        return 0.0, loading, current, None
-    return float(etas[best]), Loading(projected[best]), float(values[best]), errors[best]
+    rows, best = np.arange(R), np.argmin(values, axis=1)
+    pick, value = rows * len(_STEP_GRID) + best, values[rows, best]
+    moved = priced & ~(value > current + _IMPROVEMENT_TOL)
+    return _Steps(
+        np.where(moved, etas[rows, best], 0.0),
+        np.where(moved[:, None, None], projected[pick], stack),
+        np.where(moved, value, current),
+        np.where(moved[:, None], batch_errors[pick], np.nan),
+        moved,
+        priced,
+    )
 
 
 @dataclass
 class _RunState:
-    loading: Loading
-    objective: float
-    trace: list[float]
-    log: list[dict]
-    iterations: int
-    stop_reason: str
-    evaluations: int  # candidate loadings priced, the start included
+    """One run's history, in flat arrays of doubles: every run of a
+    lockstep keeps its own until the fit picks the best."""
+
+    matrix: np.ndarray  # (N, r) loading, the final one once the run stops
+    trace: array  # objective at the start and after every iteration
+    steps: array = field(default_factory=lambda: array("d"))  # step size per iteration; 0 where it stayed
+    errors: array = field(default_factory=lambda: array("d"))  # K group errors per iteration
+    stop_reason: str = "max_iterations"
+    evaluations: int = 1  # candidate loadings priced, the start included
+
+    @property
+    def objective(self) -> float:
+        return self.trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
 
     @property
     def converged(self) -> bool:
         return self.stop_reason != "max_iterations"
 
+    @property
+    def log(self) -> list[dict]:
+        errors = np.frombuffer(self.errors).reshape(self.iterations, -1)
+        return [
+            {"iteration": i, "objective": obj, "unfairness": pairwise_unfairness(e), "step_size": eta}
+            for i, (obj, e, eta) in enumerate(zip(self.trace[1:], errors, self.steps), start=1)
+        ]
 
-def _pgd(problem, start: Loading, opts: OptimizerOptions) -> _RunState:
-    priced = problem.evaluations
-    loading = start
-    errors = problem.errors(loading)
-    obj = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
-    trace = [obj]
-    log: list[dict] = []
-    signal = problem.stop_signal(loading)
-    signal_norm = float(np.linalg.norm(signal))
-    stagnant = 0
-    stop = "max_iterations"
-    for iterations in range(1, opts.max_iterations + 1):
-        grad = problem.gradient(loading)
-        eta, nxt, obj_next, errors_next = _step(problem, loading, grad, obj)
-        if errors_next is not None:  # None: no admissible improvement, the iterate stays
-            errors = errors_next
-        trace.append(obj_next)
-        log.append(
-            {
-                "iteration": iterations,
-                "objective": obj_next,
-                "unfairness": pairwise_unfairness(errors),
-                "step_size": eta,
-            }
-        )
-        if errors_next is None:
-            stop = "no_descent"
-            break
-        new_signal = problem.stop_signal(nxt)
-        diff = float(np.linalg.norm(new_signal - signal))
-        rel = 0.0 if diff == 0.0 else diff / max(signal_norm, 1e-300)
-        improvement = obj - obj_next
-        loading, obj, signal, signal_norm = nxt, obj_next, new_signal, float(np.linalg.norm(new_signal))
-        if rel <= opts.convergence_epsilon:
-            stop = "small_change"
-            break
-        stagnant = stagnant + 1 if improvement < _STAGNATION_TOL else 0
-        if stagnant >= _STAGNATION_LIMIT:
-            stop = "stagnation"
-            break
-    return _RunState(loading, obj, trace, log, iterations, stop, problem.evaluations - priced)
+
+def _signal_change(problem, stack: np.ndarray, signal: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Relative change of the stop signal of every loading of a stack from
+    `signal`, problem.chunk loadings at a time. The new signals and their
+    norms overwrite the old ones in place."""
+    rel = np.empty(len(stack))
+    for lo in range(0, len(stack), problem.chunk):
+        part = slice(lo, lo + problem.chunk)
+        new = problem.stop_signals(stack[part])
+        diff = _norms(np.subtract(new, signal[part], out=signal[part]))
+        rel[part] = np.where(diff == 0.0, 0.0, diff / np.maximum(norms[part], 1e-300))
+        signal[part], norms[part] = new, _norms(new)
+    return rel
+
+
+def _compact(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows that `keep` marks, moved to the front in place; a view of them."""
+    for dst, src in enumerate(np.flatnonzero(keep)):
+        if dst != src:
+            rows[dst] = rows[src]
+    return rows[: np.count_nonzero(keep)]
+
+
+def _pgd(problem, stack: np.ndarray, opts: OptimizerOptions) -> list[_RunState]:
+    """Projected gradient descent from every start of a (R, N, r) stack.
+
+    The runs advance in lockstep: each iteration takes one batched gradient,
+    grid step and stop signal for every run still going, and a run leaves
+    the batch when it stops. The kernels price each loading by itself, so
+    every run takes exactly the steps it would take alone.
+    """
+    G = len(_STEP_GRID)
+    errors = np.array([problem.errors_batch(M[None])[0] for M in stack])  # each start alone
+    starts = [_combine(e, problem.rows, problem.total_rows, problem.penalty) for e in errors]
+    runs = [_RunState(M, array("d", [obj])) for M, obj in zip(stack, starts)]
+    running = list(runs)  # in the order of the arrays below
+    current, objective = stack, np.array([run.objective for run in runs])
+    for lo in range(0, len(stack), problem.chunk):  # the signals, into one buffer
+        part = problem.stop_signals(stack[lo : lo + problem.chunk])
+        if lo == 0:
+            signal = np.empty((len(stack),) + part.shape[1:])
+        signal[lo : lo + problem.chunk] = part
+    signal_norm = _norms(signal)
+    stagnant = np.zeros(len(stack), dtype=int)
+    for iteration in range(1, opts.max_iterations + 1):
+        step = _step(problem, current, problem.gradients(current), objective)
+        moved = step.moved  # a run that does not move stops: the signals follow the moved ones
+        if not moved.all():
+            signal, signal_norm = _compact(signal, moved), signal_norm[moved]
+        errors = np.where(moved[:, None], step.errors, errors)
+        rel = np.zeros(len(running))
+        rel[moved] = _signal_change(problem, step.loadings[moved], signal, signal_norm)
+        stagnant = np.where(objective - step.objectives < _STAGNATION_TOL, stagnant + 1, 0)
+        small = rel <= opts.convergence_epsilon
+        stop = ~moved | small | (stagnant >= _STAGNATION_LIMIT)
+        current, objective = step.loadings, step.objectives
+        for run, obj, eta, e in zip(running, objective.tolist(), step.eta.tolist(), errors.tolist()):
+            run.trace.append(obj)
+            run.steps.append(eta)
+            run.errors.extend(e)
+        for i in np.flatnonzero(stop):
+            run = running[i]
+            run.stop_reason = "no_descent" if not moved[i] else "small_change" if small[i] else "stagnation"
+            run.matrix, run.evaluations = current[i], 1 + G * (iteration - (not step.priced[i]))
+        if stop.any():
+            keep = ~stop
+            running = [run for run, k in zip(running, keep) if k]
+            current, objective, errors = current[keep], objective[keep], errors[keep]
+            stagnant, signal_norm = stagnant[keep], signal_norm[keep[moved]]
+            signal = _compact(signal, keep[moved])
+            if not running:
+                break
+    for i, run in enumerate(running):
+        run.matrix, run.evaluations = current[i], 1 + G * opts.max_iterations
+    return runs
 
 
 def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransform) -> FitResult:
@@ -464,13 +558,10 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
     pca = fit_pca(data, r)
     rng = np.random.default_rng(opts.seed)
     starts = [pca.loading] + [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
-    best: _RunState | None = None
-    for start in starts:
-        run = _pgd(problem, start, opts)
-        if best is None or run.objective < best.objective:
-            best = run
-    assert best is not None
-    M, grad = best.loading.matrix, problem.gradient(best.loading)
+    runs = _pgd(problem, np.stack([start.matrix for start in starts]), opts)
+    best = min(runs, key=lambda run: run.objective)  # the first of the lowest
+    M = best.matrix
+    grad = problem.gradients(M[None])[0]
     gradient_norm = float(np.linalg.norm(grad - M @ (M.T @ grad) / N))  # Riemannian: tangent part
     loading = Loading(fix_column_signs(M))
     errors = decision_errors(data, loading, g)
@@ -502,7 +593,10 @@ def fit_fair_factor(data: GroupedPanel, r: int, opts: OptimizerOptions) -> FitRe
     """Projected gradient descent on the fair-factor objective.
 
     Starts at the principal-components solution plus restarts-1 random draws
-    and keeps the best final objective. A run stops when the relative change
+    and keeps the best final objective. The restarts advance together, one
+    batch of kernel calls per iteration, and each takes exactly the steps it
+    would take alone; `evaluations` counts the kept run's candidates only.
+    A run stops when the relative change
     of the reconstruction Y L L^T / N drops below convergence_epsilon
     (stop_reason "small_change"), after _STAGNATION_LIMIT steps that each gain
     less than _STAGNATION_TOL ("stagnation"), when no grid step improves the
@@ -517,7 +611,8 @@ def fit_fair_decision(
 ) -> FitResult:
     """Projected gradient descent on the fair-decision objective.
 
-    Same scheme as the fair-factor fit with the transform-aware gradient; the
+    Same scheme as the fair-factor fit with the transform-aware gradient,
+    restarts advancing together and each taking its own steps; the
     stopping rule tracks the relative change of g applied to reconstructions.
     The returned group_errors are the exact per-group decision errors, also
     when the annuity fit optimizes the taylor surrogate. With g = identity

@@ -7,6 +7,7 @@ hash and seed.
 """
 
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -114,6 +115,14 @@ class PreparedData:
     full: GroupedPanel
 
 
+def _read_text(path: str) -> str:
+    """The text of a data file; bytes that do not decode are a DataError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not valid {exc.encoding} text ({exc.reason})") from None
+
+
 def load_panels(config: RunConfig) -> PreparedData:
     """Parse the configured files and build train/test panels per group."""
     tables = {}
@@ -121,8 +130,7 @@ def load_panels(config: RunConfig) -> PreparedData:
     for group in config.groups:
         path = config.data_path_for(group)
         if path not in tables:
-            text = Path(path).read_text()
-            tables[path] = parse_hmd_1x1(text)
+            tables[path] = parse_hmd_1x1(_read_text(path))
         table = tables[path]
         years = table.years
         if len(years) == 0:
@@ -430,19 +438,18 @@ def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
     DataError; cells outside the given years and ages are ignored.
     """
     cells: dict[str, dict[tuple[int, int], float]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("group,"):
-                continue
-            try:
-                group, year, age, value = line.split(",")
-                key, rate = (int(year), int(age)), float(value)
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: expected group,year,age,value, got {line!r}") from None
-            if not np.isfinite(rate) or key in cells.setdefault(group, {}):
-                raise DataError(f"{path} line {lineno}: non-finite or repeated value {line!r}")
-            cells[group][key] = rate
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("group,"):
+            continue
+        try:
+            group, year, age, value = line.split(",")
+            key, rate = (int(year), int(age)), float(value)
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: expected group,year,age,value, got {line!r}") from None
+        if not math.isfinite(rate) or key in cells.setdefault(group, {}):
+            raise DataError(f"{path} line {lineno}: non-finite or repeated value {line!r}")
+        cells[group][key] = rate
     out = {}
     for group, years in years_by_group.items():
         table = cells.get(group, {})

@@ -6,6 +6,7 @@ import pytest
 
 from fairfactor.cli import main
 from fairfactor.config import ConfigError, load_config, parse_config_text, resolve_config
+from fairfactor.dataset import DataError
 from fairfactor.factor import FitResult, Loading
 from fairfactor.pipeline import read_rates_csv
 from fairfactor.transforms import epv_matrix
@@ -78,6 +79,80 @@ def test_readme_example_config_resolves():
     assert config.model == "fair-decision"
 
 
+FUZZ_BYTES = b"=,#.x-9 \x00\x80\xc3\xff"
+FUZZ_VALUES = [
+    b"", b"nan", b"inf", b"-1", b"0", b"1e400", b"abc", b"1,2", b"true", b"9" * 5000, b"\xff\xfe", b"\x00"
+]
+
+
+def mutate_bytes(lines, rng, sep):
+    """One to three random edits of a list of byte lines: replace the value
+    after the last separator, delete, duplicate, swap or truncate a line, or
+    insert a byte that may not be valid UTF-8."""
+    lines = list(lines)
+    for _ in range(rng.integers(1, 4)):
+        i = int(rng.integers(len(lines)))
+        op = int(rng.integers(6))
+        if op == 0:
+            head, _, _ = lines[i].rpartition(sep)
+            lines[i] = head + sep + FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        elif op == 3:
+            j = int(rng.integers(len(lines)))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 4:
+            lines[i] = lines[i][: int(rng.integers(len(lines[i]) + 1))]
+        else:
+            k = int(rng.integers(len(lines[i]) + 1))
+            byte = FUZZ_BYTES[int(rng.integers(len(FUZZ_BYTES)))]
+            lines[i] = lines[i][:k] + bytes([byte]) + lines[i][k:]
+    return lines
+
+
+def test_load_config_fuzz_fails_only_with_config_errors(tmp_path):
+    # seeded mutations of the README example: every outcome is a resolved
+    # configuration or a ConfigError (exit code 2)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    base = readme.split("```ini\n", 1)[1].split("```", 1)[0].encode().splitlines()
+    rng = np.random.default_rng(2025)
+    outcomes = {"resolved": 0, "rejected": 0}
+    path = tmp_path / "fuzz.cfg"
+    for _ in range(300):
+        path.write_bytes(b"\n".join(mutate_bytes(base, rng, b"=")))
+        try:
+            load_config(str(path), [])
+            outcomes["resolved"] += 1
+        except ConfigError:
+            outcomes["rejected"] += 1
+    assert outcomes["resolved"] > 0 and outcomes["rejected"] > 0
+
+
+def test_read_rates_csv_fuzz_fails_only_with_data_errors(tmp_path, hmd_file):
+    # seeded mutations of a valid predictions file: every outcome is a rate
+    # table or a DataError (exit code 3)
+    from fairfactor.pipeline import load_panels
+
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
+    test = load_panels(load_config(str(cfg), [])).test
+    years_by_group = {p.group: p.years for p in test.panels}
+    ages = test.panels[0].ages
+    base = [row.encode() for row in observed_test_rows(cfg)]
+    rng = np.random.default_rng(2026)
+    outcomes = {"read": 0, "rejected": 0}
+    path = tmp_path / "fuzz.csv"
+    for _ in range(200):
+        path.write_bytes(b"\n".join(mutate_bytes(base, rng, b",")) + b"\n")
+        try:
+            read_rates_csv(str(path), years_by_group, ages)
+            outcomes["read"] += 1
+        except DataError:
+            outcomes["rejected"] += 1
+    assert outcomes["read"] > 0 and outcomes["rejected"] > 0
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -131,6 +206,36 @@ def test_exit_code_malformed_data(tmp_path, capsys):
     assert code == 3
     # partial outputs are removed on failure
     assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def undecodable_copy(source: Path, target: Path) -> Path:
+    """A copy of a text file with one byte that is not valid UTF-8."""
+    data = source.read_bytes()
+    target.write_bytes(data[:200] + b"\xff" + data[200:])
+    return target
+
+
+def test_undecodable_data_file_is_data_error(tmp_path, capsys, hmd_file):
+    bad = undecodable_copy(hmd_file, tmp_path / "bad.txt")
+    out = tmp_path / "o"
+    code = run_cli("ingest", "--config", str(write_cfg(tmp_path)), "--set", f"data={bad}", "--out", str(out))
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == 3 and record["exit_code"] == 3 and record["error"] == "DataError"
+    assert str(bad) in record["message"]
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_undecodable_predictions_file_is_data_error(tmp_path, capsys, hmd_file):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
+    pred_file = tmp_path / "pred.txt"
+    pred_file.write_text("\n".join(observed_test_rows(cfg)) + "\n")
+    bad = undecodable_copy(pred_file, tmp_path / "pred.csv")
+    out = tmp_path / "o"
+    code = run_cli("evaluate", "--config", str(cfg), "--set", f"predictions={bad}", "--out", str(out))
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == 3 and record["exit_code"] == 3 and record["error"] == "DataError"
+    assert str(bad) in record["message"]
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_exit_code_empty_year_window(tmp_path, capsys, hmd_file):

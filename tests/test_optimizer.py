@@ -346,16 +346,51 @@ def test_taylor_step_allocates_no_candidate_stack():
     rng = np.random.default_rng(18)
     data = annuity_panels(rng, T1=60, T2=60, N=80, spread=0.1)
     problem = _DecisionProblem(data, annuity_transform_for(data, term=10, discount=0.95), 2.0)
-    L = random_loading(rng, 80, 1)
-    grad, current = problem.gradient(L), problem.objective(L)
-    _step(problem, L, grad, current)
+    stack = random_loading(rng, 80, 1).matrix[None]
+    grads, current = problem.gradients(stack), np.array([problem.objective(Loading(stack[0]))])
+    _step(problem, stack, grads, current)
     tracemalloc.start()
     try:
-        _step(problem, L, grad, current)
+        _step(problem, stack, grads, current)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 60 * len(_STEP_GRID) * 80 * 8 / 4
+
+
+def lockstep_cases():
+    data, _ = synthesize(N=10, r=2, group_sizes=[20, 15], noise_scales=[1.5, 0.5], seed=3)
+    for r in (1, 2):
+        for lam in (0.0, 10.0):
+            yield f"factor-r{r}-lambda{lam:g}", _FactorProblem(data, lam), data, r
+    rng = np.random.default_rng(25)
+    annuity = annuity_panels(rng, T1=8, T2=7, N=12, spread=0.2)
+    for mode in ("taylor", "exact"):
+        g = annuity_transform_for(annuity, term=4, discount=0.95, annuity_mode=mode)
+        yield mode, _DecisionProblem(annuity, g, 2.0), annuity, 1
+    exp_data = panel_pair(0.4 * rng.standard_normal((9, 7)), 0.4 * rng.standard_normal((8, 7)))
+    yield "elementwise", _DecisionProblem(exp_data, elementwise_transform("exp"), 1.5), exp_data, 2
+
+
+@pytest.mark.parametrize("case", list(lockstep_cases()), ids=lambda case: case[0])
+def test_restarts_in_lockstep_take_their_own_steps(case):
+    # runs that share every batched kernel call, and leave the batch at
+    # different iterations, must reproduce each start's run alone bit for bit
+    _, problem, data, r = case
+    rng = np.random.default_rng(26)
+    randoms = [random_loading(rng, data.n_ages, r).matrix for _ in range(4)]
+    stack = np.stack([fit_pca(data, r).loading.matrix] + randoms)
+    opts = OptimizerOptions(max_iterations=400)
+    alone = [optimizer._pgd(problem, stack[i : i + 1], opts)[0] for i in range(len(stack))]
+    for chunk in (problem.chunk, 2):  # also with the signals and gradients taken two loadings at a time
+        problem.chunk = chunk
+        together = optimizer._pgd(problem, stack, opts)
+        for a, b in zip(together, alone):
+            assert a.trace == b.trace and a.log == b.log and a.stop_reason == b.stop_reason
+            assert (a.iterations, a.evaluations) == (b.iterations, b.evaluations)
+            assert a.evaluations == 1 + a.iterations * len(_STEP_GRID)
+            assert np.array_equal(a.matrix, b.matrix)
+        assert len({run.iterations for run in together}) > 1
 
 
 # ---------------------------------------------------------------- line search
@@ -365,8 +400,9 @@ def test_line_search_zero_direction():
     rng = np.random.default_rng(14)
     problem = _FactorProblem(random_instance(rng, N=4), 1.0)
     L = random_loading(rng, 4, 2)
-    eta, nxt, value, errors = _step(problem, L, np.zeros((4, 2)), 1.0)
-    assert eta == 0.0 and nxt is L and value == 1.0 and errors is None
+    step = _step(problem, L.matrix[None], np.zeros((1, 4, 2)), np.array([1.0]))
+    assert step.eta[0] == 0.0 and np.array_equal(step.loadings[0], L.matrix) and step.objectives[0] == 1.0
+    assert not step.moved[0] and not step.priced[0] and np.isnan(step.errors[0]).all()
 
 
 def test_grid_step_matches_line_search():
@@ -376,7 +412,7 @@ def test_grid_step_matches_line_search():
         data = random_instance(rng, T1=7, T2=6, N=7)
         problem = _FactorProblem(data, 3.0)
         L = random_loading(rng, 7, 2)
-        grad = problem.gradient(L)
+        grad = problem.gradients(L.matrix[None])[0]
         etas = _STEP_GRID * np.linalg.norm(L.matrix) / np.linalg.norm(grad)
         values = [
             problem.objective(Loading(np.sqrt(7) * nearest_orthonormal(L.matrix - eta * grad)))
@@ -384,10 +420,10 @@ def test_grid_step_matches_line_search():
         ]
         best = int(np.argmin(values))
         assert values[best] < problem.objective(L)
-        eta, nxt, value, _ = _step(problem, L, grad, problem.objective(L))
-        assert eta == pytest.approx(etas[best], rel=1e-12)
-        assert value == pytest.approx(values[best], rel=1e-10)
-        assert problem.objective(nxt) == pytest.approx(value, rel=1e-10)
+        step = _step(problem, L.matrix[None], grad[None], np.array([problem.objective(L)]))
+        assert step.eta[0] == pytest.approx(etas[best], rel=1e-12)
+        assert step.objectives[0] == pytest.approx(values[best], rel=1e-10)
+        assert problem.objective(Loading(step.loadings[0])) == pytest.approx(step.objectives[0], rel=1e-10)
 
 
 def test_line_search_never_worse():
@@ -398,9 +434,10 @@ def test_line_search_never_worse():
         L = random_loading(rng, 6, 2)
         current = fair_factor_objective(data, L, 2.0)
         for grad in (fair_factor_gradient(data, L, 2.0), -fair_factor_gradient(data, L, 2.0)):
-            eta, nxt, value, _ = _step(problem, L, grad, current)
+            step = _step(problem, L.matrix[None], grad[None], np.array([current]))
+            nxt = Loading(step.loadings[0])
             assert fair_factor_objective(data, nxt, 2.0) <= current + 1e-12
-            assert value == pytest.approx(fair_factor_objective(data, nxt, 2.0), rel=1e-10)
+            assert step.objectives[0] == pytest.approx(fair_factor_objective(data, nxt, 2.0), rel=1e-10)
 
 
 # ----------------------------------------------------------------------- fits
@@ -533,8 +570,8 @@ def test_ascent_direction_stops_as_no_descent(monkeypatch):
     )
     pca = fit_pca(data, 1)
     assert np.array_equal(pca.loading.matrix[:, 0], [2.0, 0.0, 0.0, 0.0])
-    gradient = optimizer._Problem.gradient
-    monkeypatch.setattr(optimizer._Problem, "gradient", lambda self, loading: -gradient(self, loading))
+    gradients = optimizer._Problem.gradients
+    monkeypatch.setattr(optimizer._Problem, "gradients", lambda self, stack: -gradients(self, stack))
     fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=8.0, restarts=1))
     assert fit.stop_reason == "no_descent" and fit.converged
     assert fit.iterations == 1 and fit.iteration_log[0]["step_size"] == 0.0
