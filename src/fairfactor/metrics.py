@@ -183,10 +183,11 @@ def cross_validate_lambda(
         for lam in penalties
         for j in range(k)
     ]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # a fork pool starts all its workers on the first submit
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_fold, [t[2] for t in tasks]))
     else:
         outcomes = [_evaluate_fold(t[2]) for t in tasks]

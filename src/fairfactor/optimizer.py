@@ -38,8 +38,9 @@ from .transforms import (
     DecisionTransform,
     apply_transform,
     decision_errors,
-    decision_residual,
+    epv_matrix,
     epv_weight_bands,
+    epv_width,
     identity_transform,
 )
 
@@ -116,8 +117,9 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 class _Problem:
     """Penalized objective and gradients from a subclass's per-group errors:
-    errors_batch for a (B, N, r) stack of candidates, errors_and_grads and
-    stop_signals for a (R, N, r) stack of iterates.
+    errors_batch for a (B, N, r) stack of candidates, and _pass for a
+    (R, N, r) stack of iterates, which gives their group errors, group
+    gradients and (R, *signal_shape) stop signals in one go.
 
     A loading's result does not depend on the rest of its stack, to the bit:
     the kernels take one matrix product per loading (np.matmul over the
@@ -136,10 +138,27 @@ class _Problem:
     def objective(self, loading: Loading) -> float:
         return _combine(self.errors_batch(loading.matrix[None])[0], self.rows, self.total_rows, self.penalty)
 
+    def descent(self, stack: np.ndarray, signal: np.ndarray, signal_norm: np.ndarray):
+        """The (R, N, r) penalized gradients of a (R, N, r) stack of loadings
+        and the relative change of their stop signals from `signal`,
+        self.chunk loadings per _pass. The new signals and their norms
+        overwrite `signal` and `signal_norm` in place."""
+        errors = np.empty((len(stack), len(self.rows)))
+        grads = [np.empty_like(stack) for _ in self.rows]
+        change = np.empty(len(stack))
+        for lo in range(0, len(stack), self.chunk):
+            part = slice(lo, lo + self.chunk)
+            errors[part], parts, new = self._pass(stack[part])
+            for k, grad in enumerate(parts):
+                grads[k][part] = grad
+            diff = _norms(np.subtract(new, signal[part], out=signal[part]))
+            change[part] = np.where(diff == 0.0, 0.0, diff / np.maximum(signal_norm[part], 1e-300))
+            signal[part], signal_norm[part] = new, _norms(new)
+        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty), change
+
     def gradients(self, stack: np.ndarray) -> np.ndarray:
         """(R, N, r) penalized gradients of a (R, N, r) stack of loadings."""
-        errors, grads = self.errors_and_grads(stack)
-        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
+        return self.descent(stack, np.zeros((len(stack),) + self.signal_shape), np.zeros(len(stack)))[0]
 
 
 class _FactorProblem(_Problem):
@@ -150,6 +169,7 @@ class _FactorProblem(_Problem):
         self.grams = [p.y.T @ p.y for p in data.panels]
         self.sq = [float((p.y**2).sum()) for p in data.panels]
         self.Y = data.stacked()
+        self.signal_shape = self.Y.shape  # the reconstruction Y L L^T / N
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
         B, N, r = stack.shape
@@ -162,18 +182,14 @@ class _FactorProblem(_Problem):
             out[:, k] = (self.sq[k] - quad / self.N) / self.rows[k]
         return out
 
-    def errors_and_grads(self, stack: np.ndarray):
+    def _pass(self, stack: np.ndarray):
         products = [np.matmul(gram, stack) for gram in self.grams]
         quads = [(stack * GM).sum(axis=(1, 2)) for GM in products]
         errors = np.stack([(sq - q / self.N) / t for sq, q, t in zip(self.sq, quads, self.rows)], axis=1)
         grads = [(-2.0 / (t * self.N)) * GM for t, GM in zip(self.rows, products)]
-        return errors, grads
-
-    def stop_signals(self, stack: np.ndarray) -> np.ndarray:
-        """The reconstruction Y L L^T / N of every loading of the stack."""
-        out = np.matmul(np.matmul(self.Y, stack), stack.transpose(0, 2, 1))
-        out /= self.N
-        return out
+        recon = np.matmul(np.matmul(self.Y, stack), stack.transpose(0, 2, 1))
+        recon /= self.N
+        return errors, grads, recon
 
 
 def _weight_tiles(M: np.ndarray, term: int, discount: float) -> list:
@@ -231,34 +247,42 @@ class _DecisionProblem(_Problem):
         self.groups = data.groups
         self.ys = [p.y for p in data.panels]
         self.taylor = g.kind == "annuity" and g.annuity_mode == "taylor"
+        # the stop signal, g of the reconstruction
+        self.signal_shape = (self.total_rows, epv_width(self.N, g.term) if g.kind == "annuity" else self.N)
         if g.kind == "annuity":
             self.intercepts = [g.intercept_for(p.group) for p in data.panels]
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
             self.tiles = [_weight_tiles(m, g.term, g.discount) for m in self.m_obs]
             self._workspace: dict = {}  # (rows, chunk) -> (rates, tile) buffers of _errors_chunk
+        else:
+            self.g_ys = [apply_transform(g, group, y) for group, y in zip(self.groups, self.ys)]
 
     def _recon(self, k: int, stack: np.ndarray) -> np.ndarray:
         return np.matmul(np.matmul(self.ys[k], stack), stack.transpose(0, 2, 1)) / self.N
 
     def _error_parts(self, k: int, stack: np.ndarray):
-        """Return ((R,) error_k, (R, T, N) Z_k), where Z_k stacks the per-sample z vectors."""
+        """Return ((R,) error_k, (R, T, N) Z_k, g(recon_k)), where Z_k stacks
+        the per-sample z vectors."""
         recon = self._recon(k, stack)
         if self.g.kind == "elementwise":
-            d = decision_residual(self.g, self.groups[k], self.ys[k], recon)
-            return (d * d).sum(axis=(1, 2)) / self.rows[k], self.g.funcs()[1](recon) * d
+            func, derivative = self.g.funcs()
+            priced = func(recon)
+            d = priced - self.g_ys[k]
+            return (d * d).sum(axis=(1, 2)) / self.rows[k], derivative(recon) * d, priced
         m_recon = np.exp(recon + self.intercepts[k])
+        priced = epv_matrix(m_recon, self.g.term, self.g.discount)  # apply_transform, to the bit
         if self.taylor:
             d = _weigh(self.tiles[k], m_recon - self.m_obs[k])
             error = (d * d).sum(axis=(1, 2)) / self.rows[k]
-            return error, m_recon * _weigh_adjoint(self.tiles[k], d, self.N)  # W^T W e
-        d = decision_residual(self.g, self.groups[k], self.ys[k], recon)
+            return error, m_recon * _weigh_adjoint(self.tiles[k], d, self.N), priced  # W^T W e
+        d = priced - self.g_ys[k]
         error = (d * d).sum(axis=(1, 2)) / self.rows[k]
         inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
         rates = np.clip(m_recon, 0.0, 1.0).reshape(-1, self.N)  # every sample of every loading is a row
         tiles = _weight_tiles(rates, self.g.term, self.g.discount)
         u = _weigh_adjoint(tiles, d.reshape(len(rates), -1), self.N).reshape(m_recon.shape)  # W(m_recon)^T d
-        return error, np.where(inside, m_recon, 0.0) * u
+        return error, np.where(inside, m_recon, 0.0) * u, priced
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
         """Prices the stack len(_STEP_GRID) candidates at a time, so its
@@ -293,26 +317,20 @@ class _DecisionProblem(_Problem):
                     sums += np.einsum("tbw,tbw->b", d, d)
                 out[:, k] = sums / self.rows[k]
             else:
-                d = decision_residual(self.g, self.groups[k], Y, np.matmul(scores, stack.transpose(0, 2, 1)))
+                recon = np.matmul(scores, stack.transpose(0, 2, 1))
+                d = apply_transform(self.g, self.groups[k], recon) - self.g_ys[k]
                 out[:, k] = (d * d).sum(axis=(1, 2)) / self.rows[k]
         return out
 
-    def errors_and_grads(self, stack: np.ndarray):
-        errors, grads = np.empty((len(stack), len(self.ys))), [np.empty_like(stack) for _ in self.ys]
-        for lo in range(0, len(stack), self.chunk):
-            part = slice(lo, lo + self.chunk)
-            M = stack[part]
-            for k, Y in enumerate(self.ys):
-                errors[part, k], Z = self._error_parts(k, M)
-                ZtYL = np.matmul(Z.transpose(0, 2, 1), np.matmul(Y, M))
-                grads[k][part] = (2.0 / (self.rows[k] * self.N)) * (ZtYL + np.matmul(Y.T, np.matmul(Z, M)))
-        return errors, grads
-
-    def stop_signals(self, stack: np.ndarray) -> np.ndarray:
-        """g of the reconstruction of every loading of the stack: one
-        (R, T_k, width) pricing per group, stacked along the rows."""
-        recons = [self._recon(k, stack) for k in range(len(self.ys))]
-        return np.concatenate([apply_transform(self.g, *pair) for pair in zip(self.groups, recons)], axis=1)
+    def _pass(self, stack: np.ndarray):
+        """The stop signals stack each group's g(recon) along the rows."""
+        errors, grads, signals = np.empty((len(stack), len(self.ys))), [], []
+        for k, Y in enumerate(self.ys):
+            errors[:, k], Z, priced = self._error_parts(k, stack)
+            ZtYL = np.matmul(Z.transpose(0, 2, 1), np.matmul(Y, stack))
+            grads.append((2.0 / (self.rows[k] * self.N)) * (ZtYL + np.matmul(Y.T, np.matmul(Z, stack))))
+            signals.append(priced)
+        return errors, grads, np.concatenate(signals, axis=1)
 
 
 def _problem(data: GroupedPanel, g: DecisionTransform, penalty: float):
@@ -452,6 +470,7 @@ class _RunState:
     errors: array = field(default_factory=lambda: array("d"))  # K group errors per iteration
     stop_reason: str = "max_iterations"
     evaluations: int = 1  # candidate loadings priced, the start included
+    gradient: np.ndarray | None = None  # (N, r) penalized gradient at the final loading
 
     @property
     def objective(self) -> float:
@@ -474,79 +493,54 @@ class _RunState:
         ]
 
 
-def _signal_change(problem, stack: np.ndarray, signal: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Relative change of the stop signal of every loading of a stack from
-    `signal`, problem.chunk loadings at a time. The new signals and their
-    norms overwrite the old ones in place."""
-    rel = np.empty(len(stack))
-    for lo in range(0, len(stack), problem.chunk):
-        part = slice(lo, lo + problem.chunk)
-        new = problem.stop_signals(stack[part])
-        diff = _norms(np.subtract(new, signal[part], out=signal[part]))
-        rel[part] = np.where(diff == 0.0, 0.0, diff / np.maximum(norms[part], 1e-300))
-        signal[part], norms[part] = new, _norms(new)
-    return rel
-
-
-def _compact(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows that `keep` marks, moved to the front in place; a view of them."""
-    for dst, src in enumerate(np.flatnonzero(keep)):
-        if dst != src:
-            rows[dst] = rows[src]
-    return rows[: np.count_nonzero(keep)]
-
-
 def _pgd(problem, stack: np.ndarray, opts: OptimizerOptions) -> list[_RunState]:
     """Projected gradient descent from every start of a (R, N, r) stack.
 
-    The runs advance in lockstep: each iteration takes one batched gradient,
-    grid step and stop signal for every run still going, and a run leaves
-    the batch when it stops. The kernels price each loading by itself, so
-    every run takes exactly the steps it would take alone.
+    The runs advance in lockstep. Each iteration first decides which runs
+    stop, then takes one batched grid step for the rest and one batched
+    pass for the gradients and stop signals at their new loadings; a run
+    leaves the batch when it stops. The kernels price each loading by
+    itself, so every run takes exactly the steps it would take alone.
     """
-    G = len(_STEP_GRID)
+    G, R = len(_STEP_GRID), len(stack)
     errors = np.array([problem.errors_batch(M[None])[0] for M in stack])  # each start alone
     starts = [_combine(e, problem.rows, problem.total_rows, problem.penalty) for e in errors]
     runs = [_RunState(M, array("d", [obj])) for M, obj in zip(stack, starts)]
     running = list(runs)  # in the order of the arrays below
-    current, objective = stack, np.array([run.objective for run in runs])
-    for lo in range(0, len(stack), problem.chunk):  # the signals, into one buffer
-        part = problem.stop_signals(stack[lo : lo + problem.chunk])
-        if lo == 0:
-            signal = np.empty((len(stack),) + part.shape[1:])
-        signal[lo : lo + problem.chunk] = part
-    signal_norm = _norms(signal)
-    stagnant = np.zeros(len(stack), dtype=int)
-    for iteration in range(1, opts.max_iterations + 1):
-        step = _step(problem, current, problem.gradients(current), objective)
-        moved = step.moved  # a run that does not move stops: the signals follow the moved ones
-        if not moved.all():
-            signal, signal_norm = _compact(signal, moved), signal_norm[moved]
-        errors = np.where(moved[:, None], step.errors, errors)
-        rel = np.zeros(len(running))
-        rel[moved] = _signal_change(problem, step.loadings[moved], signal, signal_norm)
+    current, objective = stack, np.array(starts)
+    signal, signal_norm = np.zeros((R,) + problem.signal_shape), np.zeros(R)
+    grads = problem.descent(current, signal, signal_norm)[0]  # the starts' signals fill the buffer
+    change, moved, priced = np.full(R, np.inf), np.ones(R, dtype=bool), np.ones(R, dtype=bool)
+    stagnant = np.zeros(R, dtype=int)
+    for iteration in range(opts.max_iterations + 1):
+        small, stalled = change <= opts.convergence_epsilon, stagnant >= _STAGNATION_LIMIT
+        stop = ~moved | small | stalled | (iteration == opts.max_iterations)
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                run = running[i]
+                run.stop_reason = (
+                    "no_descent" if not moved[i]
+                    else "small_change" if small[i]
+                    else "stagnation" if stalled[i]
+                    else "max_iterations"
+                )
+                run.matrix, run.gradient = current[i], grads[i]
+                run.evaluations = 1 + G * (iteration - (not priced[i]))
+            keep = ~stop
+            running = [run for run, k in zip(running, keep) if k]
+            if not running:
+                break
+            current, objective, errors, grads = current[keep], objective[keep], errors[keep], grads[keep]
+            signal, signal_norm, stagnant = signal[keep], signal_norm[keep], stagnant[keep]
+        step = _step(problem, current, grads, objective)
+        errors = np.where(step.moved[:, None], step.errors, errors)
         stagnant = np.where(objective - step.objectives < _STAGNATION_TOL, stagnant + 1, 0)
-        small = rel <= opts.convergence_epsilon
-        stop = ~moved | small | (stagnant >= _STAGNATION_LIMIT)
-        current, objective = step.loadings, step.objectives
+        current, objective, moved, priced = step.loadings, step.objectives, step.moved, step.priced
         for run, obj, eta, e in zip(running, objective.tolist(), step.eta.tolist(), errors.tolist()):
             run.trace.append(obj)
             run.steps.append(eta)
             run.errors.extend(e)
-        for i in np.flatnonzero(stop):
-            run = running[i]
-            run.stop_reason = "no_descent" if not moved[i] else "small_change" if small[i] else "stagnation"
-            run.matrix, run.evaluations = current[i], 1 + G * (iteration - (not step.priced[i]))
-        if stop.any():
-            keep = ~stop
-            running = [run for run, k in zip(running, keep) if k]
-            current, objective, errors = current[keep], objective[keep], errors[keep]
-            stagnant, signal_norm = stagnant[keep], signal_norm[keep[moved]]
-            signal = _compact(signal, keep[moved])
-            if not running:
-                break
-    for i, run in enumerate(running):
-        run.matrix, run.evaluations = current[i], 1 + G * opts.max_iterations
+        grads, change = problem.descent(current, signal, signal_norm)
     return runs
 
 
@@ -560,8 +554,7 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
     starts = [pca.loading] + [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
     runs = _pgd(problem, np.stack([start.matrix for start in starts]), opts)
     best = min(runs, key=lambda run: run.objective)  # the first of the lowest
-    M = best.matrix
-    grad = problem.gradients(M[None])[0]
+    M, grad = best.matrix, best.gradient
     gradient_norm = float(np.linalg.norm(grad - M @ (M.T @ grad) / N))  # Riemannian: tangent part
     loading = Loading(fix_column_signs(M))
     errors = decision_errors(data, loading, g)

@@ -112,7 +112,6 @@ def fmt(x: float) -> str:
 class PreparedData:
     train: GroupedPanel
     test: GroupedPanel
-    full: GroupedPanel
 
 
 def _read_text(path: str) -> str:
@@ -126,7 +125,7 @@ def _read_text(path: str) -> str:
 def load_panels(config: RunConfig) -> PreparedData:
     """Parse the configured files and build train/test panels per group."""
     tables = {}
-    train_panels, test_panels, full_panels = [], [], []
+    train_panels, test_panels = [], []
     for group in config.groups:
         path = config.data_path_for(group)
         if path not in tables:
@@ -145,14 +144,9 @@ def load_panels(config: RunConfig) -> PreparedData:
             standardize=config.standardize,
         )
         train, test = split_train_test(panel, config.train_cutoff)
-        full_panels.append(panel)
         train_panels.append(train)
         test_panels.append(test)
-    return PreparedData(
-        train=GroupedPanel(tuple(train_panels)),
-        test=GroupedPanel(tuple(test_panels)),
-        full=GroupedPanel(tuple(full_panels)),
-    )
+    return PreparedData(train=GroupedPanel(tuple(train_panels)), test=GroupedPanel(tuple(test_panels)))
 
 
 def optimizer_options(config: RunConfig, penalty: float) -> OptimizerOptions:
@@ -434,8 +428,9 @@ def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
     """Read a group,year,age,value file into per-group matrices over the
     given years (rows) and ages (columns).
 
-    A malformed or duplicate row, a non-finite value, or a missing cell is a
-    DataError; cells outside the given years and ages are ignored.
+    A malformed or duplicate row, a non-finite or negative value, or a
+    missing cell is a DataError; cells outside the given years and ages are
+    ignored.
     """
     cells: dict[str, dict[tuple[int, int], float]] = {}
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
@@ -447,8 +442,8 @@ def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
             key, rate = (int(year), int(age)), float(value)
         except ValueError:
             raise DataError(f"{path} line {lineno}: expected group,year,age,value, got {line!r}") from None
-        if not math.isfinite(rate) or key in cells.setdefault(group, {}):
-            raise DataError(f"{path} line {lineno}: non-finite or repeated value {line!r}")
+        if not (math.isfinite(rate) and rate >= 0.0) or key in cells.setdefault(group, {}):
+            raise DataError(f"{path} line {lineno}: non-finite, negative or repeated value {line!r}")
         cells[group][key] = rate
     out = {}
     for group, years in years_by_group.items():

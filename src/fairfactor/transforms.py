@@ -31,7 +31,6 @@ __all__ = [
     "epv_weight_bands",
     "epv_weights_stack",
     "apply_transform",
-    "decision_residual",
     "decision_errors",
 ]
 
@@ -208,15 +207,6 @@ def apply_transform(g: DecisionTransform, group: str, y_block: np.ndarray) -> np
     return epv_matrix(rates, g.term, g.discount)
 
 
-def decision_residual(g: DecisionTransform, group: str, y_block: np.ndarray, recon: np.ndarray) -> np.ndarray:
-    """g(recon) - g(y_block) for one group's (T', N) block.
-
-    recon may stack reconstructions of the block along leading axes, one
-    per candidate loading; the result then carries the same axes.
-    """
-    return apply_transform(g, group, recon) - apply_transform(g, group, y_block)
-
-
 def decision_errors(data: GroupedPanel, loading: Loading, g: DecisionTransform) -> np.ndarray:
     """Per-group decision errors (1/T_k) * ||g(recon_k) - g(Y_k)||_F^2.
 
@@ -228,6 +218,6 @@ def decision_errors(data: GroupedPanel, loading: Loading, g: DecisionTransform) 
     P = loading.projector()
     errors = []
     for p in data.panels:
-        diff = decision_residual(g, p.group, p.y, p.y @ P)
+        diff = apply_transform(g, p.group, p.y @ P) - apply_transform(g, p.group, p.y)
         errors.append(float((diff * diff).sum() / p.n_years))
     return np.array(errors)

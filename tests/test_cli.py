@@ -441,14 +441,22 @@ def shift_years(rows):
     return rows[:1] + shifted
 
 
+def negate_first_age_3(rows):
+    """The first test year's rate at age 3 of the first group, made negative."""
+    i = next(i for i, row in enumerate(rows) if row.split(",")[2] == "3")
+    group, year, age, value = rows[i].split(",")
+    return rows[:i] + [f"{group},{year},{age},-{value}"] + rows[i + 1 :]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (shift_years, "year 1990, age 0"),  # every year off by +7
         (lambda rows: [r for r in rows if not r.startswith("male,2005,15,")], "year 2005, age 15"),
         (lambda rows: rows[:2] + ["male,1990,one,0.5"] + rows[3:], "line 3"),
+        (negate_first_age_3, "line 5"),  # the header, then ages 0 to 3
     ],
-    ids=["shifted-years", "ragged", "malformed-row"],
+    ids=["shifted-years", "ragged", "malformed-row", "negative-rate"],
 )
 def test_evaluate_rejects_mismatched_predictions(tmp_path, capsys, hmd_file, edit, message):
     cfg = write_cfg(tmp_path, f"data={hmd_file}\n")

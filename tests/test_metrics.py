@@ -145,6 +145,34 @@ def test_cv_parallel_matches_sequential():
     assert sequential == parallel
 
 
+def test_cv_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # a fork pool launches all max_workers on its first submit, so the pool
+    # is sized by the fold tasks; a serial stand-in records the size asked for
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    data, _ = synthesize(N=5, r=1, group_sizes=[9, 9], noise_scales=[1.5, 0.5], seed=10)
+    kwargs = dict(lambda_grid=[3.0], k=2, lambda_cap=np.inf, g=identity_transform(), opts=quick_opts())
+    pooled = cross_validate_lambda(data, 1, jobs=64, **kwargs)  # 1 penalty x 2 folds
+    assert sizes == [2]
+    assert pooled == cross_validate_lambda(data, 1, jobs=1, **kwargs)
+
+
 def test_cv_rejects_bad_arguments():
     data, _ = synthesize(N=4, r=1, group_sizes=[5, 5], noise_scales=[1, 1], seed=9)
     with pytest.raises(ValueError, match="folds"):

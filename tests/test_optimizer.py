@@ -561,6 +561,29 @@ def test_capped_fit_reports_its_stop_and_diagnostics():
     assert fit.gradient_norm > 0.0
 
 
+@pytest.mark.parametrize(
+    "seed, penalty, epsilon, cap, reason, iterations",
+    [
+        (5, 1.0, 1e-14, 2000, "stagnation", 31),
+        (6, 10.0, 1e-14, 2000, "no_descent", 11),
+        (1, 1.0, 1e-6, 2000, "small_change", None),
+        (1, 1.0, 1e-6, 3, "max_iterations", 3),
+    ],
+)
+def test_fit_reports_gradient_and_evaluations_for_every_stop_reason(seed, penalty, epsilon, cap, reason, iterations):
+    # the final gradient comes out of the fit's own last pass: it must be the
+    # gradient at the returned loading, whichever rule stopped the run
+    data, _ = synthesize(N=6, r=1, group_sizes=[8, 7], noise_scales=[1.0, 0.3], seed=seed)
+    opts = OptimizerOptions(penalty=penalty, restarts=1, convergence_epsilon=epsilon, max_iterations=cap)
+    fit = fit_fair_factor(data, 1, opts)
+    assert fit.stop_reason == reason and iterations in (None, fit.iterations)
+    M, G = fit.loading.matrix, fair_decision_gradient(data, fit.loading, penalty, identity_transform())
+    assert fit.gradient_norm == pytest.approx(np.linalg.norm(G - M @ (M.T @ G) / 6), rel=1e-9)
+    # every step prices its grid, but a last step from a zero gradient
+    priced = fit.iterations - (reason == "no_descent" and not G.any())
+    assert fit.evaluations == 1 + len(_STEP_GRID) * priced
+
+
 def test_ascent_direction_stops_as_no_descent(monkeypatch):
     # a 0/1 panel with total Gram matrix diag(4, 2, 1, 0): the PCA start is
     # exactly 2 e_1; against the reversed gradient no grid step improves it
@@ -570,8 +593,8 @@ def test_ascent_direction_stops_as_no_descent(monkeypatch):
     )
     pca = fit_pca(data, 1)
     assert np.array_equal(pca.loading.matrix[:, 0], [2.0, 0.0, 0.0, 0.0])
-    gradients = optimizer._Problem.gradients
-    monkeypatch.setattr(optimizer._Problem, "gradients", lambda self, stack: -gradients(self, stack))
+    penalized = optimizer._penalized_gradient
+    monkeypatch.setattr(optimizer, "_penalized_gradient", lambda *args: -penalized(*args))
     fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=8.0, restarts=1))
     assert fit.stop_reason == "no_descent" and fit.converged
     assert fit.iterations == 1 and fit.iteration_log[0]["step_size"] == 0.0
