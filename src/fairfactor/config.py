@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dataset import OPEN_AGE_CLASS
 from .transforms import ANNUITY_MODES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "resolve_config"]
@@ -171,12 +172,14 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError("lambda must be non-negative")
     if len(values["groups"]) < 2:
         raise ConfigError("need at least two groups")
+    if len(set(values["groups"])) < len(values["groups"]):
+        raise ConfigError(f"groups repeat a label: {values['groups']}")
     if not 0.0 < values["discount"] <= 1.0:
         raise ConfigError("discount must lie in (0, 1]")
     if values["term"] < 1:
         raise ConfigError("term must be at least 1")
-    if values["age_max"] < values["age_min"]:
-        raise ConfigError("age_max must be at least age_min")
+    if not 0 <= values["age_min"] <= values["age_max"] <= OPEN_AGE_CLASS:
+        raise ConfigError(f"need 0 <= age_min <= age_max <= {OPEN_AGE_CLASS}")
     if None not in (values["year_min"], values["year_max"]) and values["year_max"] < values["year_min"]:
         raise ConfigError("year_max must be at least year_min")
     if values["horizon"] < 0:

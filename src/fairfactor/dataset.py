@@ -323,6 +323,8 @@ def synthesize(
         raise DataError("group_sizes and noise_scales must match and give K >= 2 groups")
     if any(t < 2 for t in sizes):
         raise DataError("every group needs at least two rows")
+    if not all(0.0 <= s < math.inf for s in scales):
+        raise DataError(f"noise scales must be finite and non-negative, got {scales}")
     rng = np.random.default_rng(seed)
     loading = np.sqrt(N) * nearest_orthonormal(rng.standard_normal((N, r)))
     panels = []

@@ -2,7 +2,7 @@
 
 Accuracy is reported as RMSE per group, per age, per year, and in total, with
 the total satisfying total^2 * T = sum_k T_k * group_k^2. Fairness is the
-absolute difference of the per-group RMSEs (largest pairwise gap for K > 2).
+largest difference between any two groups' RMSEs.
 """
 
 from dataclasses import dataclass, replace
@@ -53,6 +53,12 @@ class MetricsReport:
         }
 
 
+def _group_gap(errors: np.ndarray) -> float:
+    """The largest difference between any two groups' errors: max - min, which in
+    floating point equals the largest pairwise |difference| exactly."""
+    return float(errors.max() - errors.min())
+
+
 def metrics(
     actual: dict[str, np.ndarray],
     predicted: dict[str, np.ndarray],
@@ -83,17 +89,13 @@ def metrics(
         sq_sum += float(err2.sum())
         cells += err2.size
     by_group = np.array(by_group)
-    fairness = 0.0
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            fairness = max(fairness, abs(by_group[i] - by_group[j]))
     return MetricsReport(
         quantity=quantity,
         groups=groups,
         group_rows=np.array(rows, dtype=int),
         rmse_by_group=by_group,
         rmse_total=float(np.sqrt(sq_sum / cells)),
-        fairness_difference=float(fairness),
+        fairness_difference=_group_gap(by_group),
         rmse_by_age=by_age,
         rmse_by_year=by_year,
     )
@@ -137,7 +139,7 @@ def _evaluate_fold(args):
     fit = fit_fair_decision(GroupedPanel(tuple(train_panels)), r, opts, g)
     valid = GroupedPanel(tuple(valid_panels))
     errors = decision_errors(valid, fit.loading, g)
-    return float(errors @ valid.group_rows) / valid.total_rows, float(errors.max() - errors.min())
+    return float(errors @ valid.group_rows) / valid.total_rows, _group_gap(errors)
 
 
 def cross_validate_lambda(
@@ -165,48 +167,35 @@ def cross_validate_lambda(
         raise ValueError("empty penalty grid")
     if any(v < 0 for v in grid):
         raise ValueError("penalties must be non-negative")
+    if lambda_cap is not None and lambda_cap < 0:
+        raise ValueError("the gap cap must be non-negative")
     if k < 2:
         raise ValueError("need at least two folds")
     for p in data.panels:
         if p.n_years < k:
             raise ValueError(f"group {p.group!r} has {p.n_years} rows, fewer than {k} folds")
     rng = np.random.default_rng(opts.seed) if random_folds else None
-    folds_per_group = [_fold_indices(p.n_years, k, rng) for p in data.panels]
-    fold_sets = [
-        tuple(folds_per_group[gi][j] for gi in range(len(data.panels))) for j in range(k)
-    ]
+    fold_sets = list(zip(*(_fold_indices(p.n_years, k, rng) for p in data.panels)))
 
     # the default cap is half the penalty-free gap, so lambda = 0 must be run
     penalties = sorted(set(grid) | {0.0}) if lambda_cap is None else sorted(set(grid))
-    tasks = [
-        (lam, j, (data, r, replace(opts, penalty=lam), g, fold_sets[j]))
-        for lam in penalties
-        for j in range(k)
-    ]
+    tasks = [(data, r, replace(opts, penalty=lam), g, folds) for lam in penalties for folds in fold_sets]
     workers = min(jobs, len(tasks))  # a fork pool starts all its workers on the first submit
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_fold, [t[2] for t in tasks]))
+            outcomes = list(pool.map(_evaluate_fold, tasks))
     else:
-        outcomes = [_evaluate_fold(t[2]) for t in tasks]
-    by_penalty: dict[float, list[tuple[float, float]]] = {}
-    for (lam, _, _), outcome in zip(tasks, outcomes):
-        by_penalty.setdefault(lam, []).append(outcome)
-
-    means = {
-        lam: (
-            float(np.mean([e for e, _ in vals])),
-            float(np.mean([gap for _, gap in vals])),
-        )
-        for lam, vals in by_penalty.items()
-    }
-    cap = float(lambda_cap) if lambda_cap is not None else means[0.0][1] / 2.0
-    rows = tuple(
-        CvRow(penalty=lam, cv_error=means[lam][0], mean_gap=means[lam][1], feasible=means[lam][1] <= cap)
-        for lam in grid
-    )
+        outcomes = list(map(_evaluate_fold, tasks))
+    scores = np.array(outcomes).reshape(len(penalties), k, 2)  # (penalty, fold, error | gap)
+    # each mean runs over one contiguous row, so it rounds as np.mean of that penalty's folds alone
+    mean_errors, mean_gaps = np.ascontiguousarray(scores.transpose(2, 0, 1)).mean(axis=2).tolist()
+    cap = float(lambda_cap) if lambda_cap is not None else mean_gaps[penalties.index(0.0)] / 2.0
+    rows = []
+    for lam in grid:
+        i = penalties.index(lam)
+        rows.append(CvRow(penalty=lam, cv_error=mean_errors[i], mean_gap=mean_gaps[i], feasible=mean_gaps[i] <= cap))
     feasible = [row for row in rows if row.feasible]
     if feasible:
         chosen = min(feasible, key=lambda row: (row.cv_error, row.penalty))
@@ -214,4 +203,4 @@ def cross_validate_lambda(
     else:
         chosen = min(rows, key=lambda row: (row.mean_gap, row.penalty))
         fallback = True
-    return CvTable(rows=rows, chosen=chosen.penalty, gap_cap=cap, fallback=fallback)
+    return CvTable(rows=tuple(rows), chosen=chosen.penalty, gap_cap=cap, fallback=fallback)

@@ -208,28 +208,6 @@ def tidy_metric_rows(model: str, report: MetricsReport, ages, years_by_group) ->
     return rows
 
 
-def evaluate_model(
-    config: RunConfig,
-    data: PreparedData,
-    model: str,
-    penalty: float,
-    predicted_rates: dict[str, np.ndarray] | None = None,
-):
-    """Fit, forecast over the test window, and score mortality plus EPVs.
-
-    Returns (fit, mortality_report, epv_report). With predicted_rates given
-    (per-group matrices over the test window), skips fitting (fit is None).
-    """
-    horizon = min(p.n_years for p in data.test.panels)
-    actual_rates = {p.group: p.rates()[:horizon] for p in data.test.panels}
-    fit = None
-    if predicted_rates is None:
-        fit, forecasted, _ = fit_and_forecast(config, data, model, penalty, horizon)
-        predicted_rates = forecasted.rates
-    mortality = metrics(actual_rates, predicted_rates, "mortality")
-    return fit, mortality, metrics(_epvs(config, actual_rates), _epvs(config, predicted_rates), "epv")
-
-
 def write_scores(
     config: RunConfig,
     data: PreparedData,
@@ -237,8 +215,9 @@ def write_scores(
     penalties: dict[str, float],
     predictions: str = "",
 ):
-    """Score each model of `penalties` (model -> fairness penalty) over the
-    test window and write metrics.csv and metrics.json.
+    """Fit and forecast each model of `penalties` (model -> fairness penalty),
+    score its mortality rates and EPVs over the test window, and write
+    metrics.csv and metrics.json.
 
     With a predictions file, its rates are scored in place of a fit. Returns
     ({model: {"mortality": report, "epv": report}}, convergence records).
@@ -248,16 +227,22 @@ def write_scores(
     years_by_group = {p.group: p.years[:horizon] for p in data.test.panels}
     start_ages = ages[: epv_width(len(ages), config.term)]
     predicted = read_rates_csv(predictions, years_by_group, ages) if predictions else None
+    actual = {p.group: p.rates()[:horizon] for p in data.test.panels}
+    actual_epvs = _epvs(config, actual)
     reports: dict[str, dict[str, MetricsReport]] = {}
     tidy_rows: list[str] = []
     convergence: list[dict] = []
     for model, penalty in penalties.items():
-        fit, mortality, epv_report = evaluate_model(config, data, model, penalty, predicted)
+        rates = predicted
+        if rates is None:
+            fit, forecasted, _ = fit_and_forecast(config, data, model, penalty, horizon)
+            rates = forecasted.rates
+            convergence += [{"model": model, **record} for record in fit.iteration_log]
+        mortality = metrics(actual, rates, "mortality")
+        epv_report = metrics(actual_epvs, _epvs(config, rates), "epv")
         reports[model] = {"mortality": mortality, "epv": epv_report}
         tidy_rows += tidy_metric_rows(model, mortality, ages, years_by_group)
         tidy_rows += tidy_metric_rows(model, epv_report, start_ages, years_by_group)
-        if fit is not None:
-            convergence += [{"model": model, **record} for record in fit.iteration_log]
     writer.write_text_rows("metrics.csv", "model,quantity,group,scope,key,value", tidy_rows)
     writer.write_json(
         "metrics.json",

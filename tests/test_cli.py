@@ -61,6 +61,9 @@ def test_config_validation_errors():
         "lambda=-1",
         "discount=2",
         "groups=male",
+        "groups=male,male",
+        "age_min=-1",
+        "age_max=111",
         "year_min=2000\nyear_max=1990",
         "annuity_mode=bogus",
         "line_search=exact-grid",
@@ -320,8 +323,9 @@ def test_simulate_seed_changes_output(tmp_path):
         ["sim_group_sizes=8", "sim_noise_scales=1"],
         ["sim_group_sizes=1,8"],
         ["sim_noise_scales=1,2,3"],
+        ["sim_noise_scales=-1,1"],
     ],
-    ids=["rank-zero", "one-group", "one-row-group", "mismatched-scales"],
+    ids=["rank-zero", "one-group", "one-row-group", "mismatched-scales", "negative-scale"],
 )
 def test_simulate_bad_settings_are_config_errors(tmp_path, capsys, settings):
     overrides = [arg for s in settings for arg in ("--set", s)]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,13 +34,17 @@ def test_metrics_uniform_error_magnitude():
 
 
 def test_metrics_hand_computed_example():
-    # group 1: 2x2 errors (1,0),(0,1); group 2 exact. T1 = T2 = 2, N = 2
-    actual = {"g1": np.zeros((2, 2)), "g2": np.zeros((2, 2))}
-    predicted = {"g1": np.array([[1.0, 0.0], [0.0, 1.0]]), "g2": np.zeros((2, 2))}
+    # group 1: 2x2 errors (1,0),(0,1); group 2 exact; group 0 errs by 0.5 everywhere,
+    # an RMSE between the other two. T0 = T1 = T2 = 2, N = 2
+    actual = {"g0": np.zeros((2, 2)), "g1": np.zeros((2, 2)), "g2": np.zeros((2, 2))}
+    predicted = {"g0": np.full((2, 2), 0.5), "g1": np.array([[1.0, 0.0], [0.0, 1.0]]), "g2": np.zeros((2, 2))}
     rep = metrics(actual, predicted, "epv")
-    assert rep.rmse_by_group[list(rep.groups).index("g1")] == pytest.approx(np.sqrt(0.5))
-    assert rep.rmse_by_group[list(rep.groups).index("g2")] == 0.0
+    assert rep.groups == ("g0", "g1", "g2")
+    assert rep.rmse_by_group[0] == 0.5
+    assert rep.rmse_by_group[1] == pytest.approx(np.sqrt(0.5))
+    assert rep.rmse_by_group[2] == 0.0
     assert rep.rmse_total == pytest.approx(0.5)
+    # the largest pairwise gap (g1 against g2), neither neighbour in group order
     assert rep.fairness_difference == pytest.approx(np.sqrt(0.5))
 
 
@@ -181,16 +186,26 @@ def test_cv_rejects_bad_arguments():
         cross_validate_lambda(data, 1, [0.0], k=6, lambda_cap=None, g=identity_transform(), opts=quick_opts())
     with pytest.raises(ValueError, match="non-negative"):
         cross_validate_lambda(data, 1, [-1.0], k=2, lambda_cap=None, g=identity_transform(), opts=quick_opts())
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        cross_validate_lambda(data, 1, [0.0], k=2, lambda_cap=-1.0, g=identity_transform(), opts=quick_opts())
 
 
-def test_cv_annuity_fold_scores_match_brute_force_pricing():
+@pytest.mark.parametrize(
+    "groups",
+    [
+        (("g1", 9, 0.4), ("g2", 8, 0.15)),
+        (("g1", 9, 0.4), ("g2", 8, 0.15), ("g3", 10, 0.25)),
+    ],
+    ids=["two-groups", "three-groups"],
+)
+def test_cv_annuity_fold_scores_match_brute_force_pricing(groups):
     rng = np.random.default_rng(12)
     N, term, v = 6, 3, 0.95
     level = np.full(N, -2.4)
     data = GroupedPanel(
         tuple(
             Panel(group, np.arange(T), np.arange(N), spread * rng.standard_normal((T, N)), level)
-            for group, T, spread in (("g1", 9, 0.4), ("g2", 8, 0.15))
+            for group, T, spread in groups
         )
     )
     g = annuity_transform_for(data, term=term, discount=v)
@@ -216,7 +231,8 @@ def test_cv_annuity_fold_scores_match_brute_force_pricing():
             P = fit_fair_decision(train, 1, replace(quick_opts(), penalty=lam), g).loading.projector()
             sq = [priced_error(p.y[f], p.y[f] @ P, p.intercept) for p, f in zip(data.panels, folds)]
             errors.append(sum(sq) / sum(len(f) for f in folds))
-            gaps.append(abs(sq[0] / len(folds[0]) - sq[1] / len(folds[1])))
+            per_group = [e / len(f) for e, f in zip(sq, folds)]
+            gaps.append(max(abs(a - b) for a, b in combinations(per_group, 2)))
         row = table.row(lam)
         assert row.cv_error == pytest.approx(np.mean(errors), rel=1e-10)
         assert row.mean_gap == pytest.approx(np.mean(gaps), rel=1e-10)
