@@ -47,7 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", help="output directory (same as --set out=...)")
         cmd.add_argument("--seed", type=int, help="random seed (same as --set seed=...)")
-        cmd.add_argument("--jobs", type=int, help="parallel workers for independent fits")
+        cmd.add_argument(
+            "--jobs", type=int, help="worker processes for cv's fold fits; the other commands ignore it"
+        )
     return parser
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "DriftARModel",
     "ForecastResult",
     "fit_drift_ar",
+    "min_history",
     "forecast",
     "fit_factor_models",
     "predict_mortality",
@@ -73,6 +74,11 @@ def _fit_candidate(z: np.ndarray, p: int) -> tuple[np.ndarray, float, int] | Non
     return beta, sse, T_eff
 
 
+def min_history(p_max: int = 5, d_max: int = 2) -> int:
+    """The shortest series fit_drift_ar accepts for this order search."""
+    return p_max + d_max + 8
+
+
 def fit_drift_ar(series: np.ndarray, p_max: int = 5, d_max: int = 2) -> DriftARModel:
     """Search p in 0..p_max, d in 0..d_max and keep the smallest-AICc candidate.
 
@@ -81,7 +87,7 @@ def fit_drift_ar(series: np.ndarray, p_max: int = 5, d_max: int = 2) -> DriftARM
     candidate is rejected.
     """
     series = np.asarray(series, dtype=float).ravel()
-    if len(series) < p_max + d_max + 8:
+    if len(series) < min_history(p_max, d_max):
         raise ValueError(
             f"series of length {len(series)} is too short for p_max={p_max}, d_max={d_max}"
         )

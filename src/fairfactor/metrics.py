@@ -123,7 +123,7 @@ class CvTable:
         raise KeyError(penalty)
 
 
-def _fold_indices(n: int, k: int, rng: np.random.Generator | None) -> list[np.ndarray]:
+def _fold_indices(n: int, k: int, rng: "np.random.Generator | None") -> list[np.ndarray]:
     order = np.arange(n) if rng is None else rng.permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(order, k)]
 
@@ -134,7 +134,9 @@ def _evaluate_fold(args):
     data, r, opts, g, fold_sets = args
     train_panels, valid_panels = [], []
     for p, fold in zip(data.panels, fold_sets):
-        train_panels.append(p.take_rows(np.setdiff1d(np.arange(p.n_years), fold)))
+        train = np.ones(p.n_years, dtype=bool)  # np.setdiff1d would import numpy.ma into every worker
+        train[fold] = False
+        train_panels.append(p.take_rows(train))
         valid_panels.append(p.take_rows(fold))
     fit = fit_fair_decision(GroupedPanel(tuple(train_panels)), r, opts, g)
     valid = GroupedPanel(tuple(valid_panels))

@@ -81,7 +81,7 @@ class OptimizerOptions:
             raise ValueError("max_iterations and restarts must be at least 1")
 
 
-def random_loading(rng: np.random.Generator, n: int, r: int) -> Loading:
+def random_loading(rng: "np.random.Generator", n: int, r: int) -> Loading:
     """Random draw on the scaled orthonormal set (Gaussian then projection)."""
     while True:
         try:
@@ -550,8 +550,10 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
         raise ValueError(f"r={r} out of range [1, {min(N, data.total_rows)}]")
     problem = _problem(data, g, opts.penalty)
     pca = fit_pca(data, r)
-    rng = np.random.default_rng(opts.seed)
-    starts = [pca.loading] + [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
+    starts = [pca.loading]
+    if opts.restarts > 1:  # a single-start fit draws nothing, so it never loads numpy.random
+        rng = np.random.default_rng(opts.seed)
+        starts += [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
     runs = _pgd(problem, np.stack([start.matrix for start in starts]), opts)
     best = min(runs, key=lambda run: run.objective)  # the first of the lowest
     M, grad = best.matrix, best.gradient

@@ -26,7 +26,7 @@ from .dataset import (
     synthesize,
 )
 from .factor import FitResult, fit_pca
-from .forecasting import fit_factor_models, predict_mortality
+from .forecasting import fit_factor_models, min_history, predict_mortality
 from .metrics import MetricsReport, cross_validate_lambda, metrics
 from .optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
 from .transforms import (
@@ -122,8 +122,12 @@ def _read_text(path: str) -> str:
         raise DataError(f"{path}: byte {exc.start} is not valid {exc.encoding} text ({exc.reason})") from None
 
 
-def load_panels(config: RunConfig) -> PreparedData:
-    """Parse the configured files and build train/test panels per group."""
+def load_panels(config: RunConfig, min_train_years: int = 1) -> PreparedData:
+    """Parse the configured files and build train/test panels per group.
+
+    A train_cutoff that leaves fewer than min_train_years training years or
+    no test year is a ConfigError.
+    """
     tables = {}
     train_panels, test_panels = [], []
     for group in config.groups:
@@ -143,6 +147,13 @@ def load_panels(config: RunConfig) -> PreparedData:
             years=(y_lo, y_hi),
             standardize=config.standardize,
         )
+        lo = y_lo + min_train_years - 1
+        if not lo <= config.train_cutoff < y_hi:
+            need = f"; forecasting needs at least {min_train_years} training years" if min_train_years > 1 else ""
+            raise ConfigError(
+                f"train_cutoff={config.train_cutoff} must lie in {lo}-{y_hi - 1}"
+                f" for the data's years {y_lo}-{y_hi}{need}"
+            )
         train, test = split_train_test(panel, config.train_cutoff)
         train_panels.append(train)
         test_panels.append(test)
@@ -254,7 +265,7 @@ def write_scores(
 def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, MetricsReport]]:
     """Full pipeline for the three models; emits the two summary tables,
     the tidy metric series, and the optimizer convergence stream."""
-    data = load_panels(config)
+    data = load_panels(config, min_history())
     penalties = {
         "factor": 0.0,
         "fair-factor": config.repro_lambda_factor,
@@ -373,7 +384,7 @@ def _forecast_configured(config: RunConfig):
     """Load, fit and forecast the configured model over `horizon` years (the
     test window's length when 0). Returns (prepared data, forecast result,
     per-group factor models, forecast years per group)."""
-    data = load_panels(config)
+    data = load_panels(config, min_history())
     horizon = config.horizon if config.horizon > 0 else min(p.n_years for p in data.test.panels)
     _, forecasted, models = fit_and_forecast(config, data, config.model, config.values["lambda"], horizon)
     years = {p.group: p.years[-1] + 1 + np.arange(horizon) for p in data.train.panels}
@@ -442,7 +453,7 @@ def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
 
 
 def run_evaluate(config: RunConfig, writer: ArtifactWriter):
-    data = load_panels(config)
+    data = load_panels(config, 1 if config.predictions else min_history())  # a predictions file needs no forecast
     penalties = {config.model: config.values["lambda"]}
     reports, _ = write_scores(config, data, writer, penalties, config.predictions)
     return reports[config.model]["mortality"], reports[config.model]["epv"]

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import hmd_text
 
+import fairfactor
 from fairfactor.cli import main
 from fairfactor.config import ConfigError, load_config, parse_config_text, resolve_config
 from fairfactor.dataset import DataError
 from fairfactor.factor import FitResult, Loading
+from fairfactor.forecasting import min_history
 from fairfactor.pipeline import read_rates_csv
 from fairfactor.transforms import epv_matrix
 
@@ -247,6 +253,64 @@ def test_exit_code_empty_year_window(tmp_path, capsys, hmd_file):
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert "2050-2005" in record["message"]
+
+
+@pytest.mark.parametrize("cutoff", [1921, 1925, 2019, 3000])
+def test_train_cutoff_without_a_forecastable_window_is_config_error(tmp_path, capsys, cutoff):
+    # one training year, five, none left to test, and past the data: evaluate
+    # forecasts, so each is a configuration error naming the key, the years
+    # and the forecaster's minimum, raised before any fit
+    data = tmp_path / "paper_years.txt"
+    data.write_text(hmd_text(years=(1921, 2019)))
+    cfg = write_cfg(tmp_path, f"data={data}\nmodel=factor\n")
+    args = ["--config", str(cfg), "--set", f"train_cutoff={cutoff}"]
+    assert run_cli("evaluate", *args, "--out", str(tmp_path / "e")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    message = record["message"]
+    assert f"train_cutoff={cutoff}" in message and "1921-2019" in message
+    assert f"at least {min_history()} training years" in message
+    # ingest forecasts nothing: a short window is fine, a cutoff leaving no test year is not
+    short_window = cutoff < 2019
+    assert run_cli("ingest", *args, "--out", str(tmp_path / "i")) == (0 if short_window else 2)
+    if not short_window:
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert f"train_cutoff={cutoff}" in message and "1921-2019" in message and "training years" not in message
+
+
+LEAN_RUN = """
+import json, sys
+import numpy
+# numpy releases that import these eagerly leave nothing to check
+eager = {name for name in ("numpy.random", "numpy.ma") if name in sys.modules}
+from fairfactor import cli
+
+def loaded():
+    return [name for name in ("numpy.random", "numpy.ma") if name in sys.modules and name not in eager]
+
+seen = {"import": loaded()}
+for command in ("cv", "fit"):
+    args = ["--config", sys.argv[1], "--set", "restarts=1", "--jobs", "1", "--out", sys.argv[2] + command]
+    seen[command] = [cli.main([command, *args])]
+    seen[command] += loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_single_start_runs_import_neither_numpy_random_nor_numpy_ma(tmp_path, hmd_file):
+    # a fresh interpreter, since this one has imported both long ago: a fit
+    # with one start draws nothing, and contiguous folds need no generator
+    cfg = write_cfg(
+        tmp_path,
+        f"data={hmd_file}\nmodel=fair-decision\ncv_lambdas=0,2\ncv_folds=3\nmax_iterations=5\n",
+    )
+    src = str(Path(fairfactor.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", LEAN_RUN, str(cfg), str(tmp_path / "o_")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == {"import": [], "cv": [0], "fit": [0]}
 
 
 def test_artifact_writer_leaves_no_partial_file(tmp_path):
