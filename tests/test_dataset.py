@@ -74,7 +74,7 @@ def test_parse_rejects_out_of_range_year_or_age(year, age):
 
 def test_parse_paper_shape_peak_memory():
     # 8514 rows of a 434 KB file: typed columns hold a cell in 8 bytes, where
-    # lists of floats and a set of (year, age) tuples took 3.2 MB
+    # lists of floats and a set of (year, age) tuples took over 3 MB
     text = hmd_text(years=(1921, 2019), ages=(0, 85))
     tracemalloc.start()
     try:
