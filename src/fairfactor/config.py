@@ -170,6 +170,11 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
             raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
     if values["lambda"] < 0:
         raise ConfigError("lambda must be non-negative")
+    if values["epsilon"] <= 0:
+        raise ConfigError(f"epsilon must be positive, got {values['epsilon']}")
+    for key, least in (("max_iterations", 1), ("restarts", 1), ("cv_folds", 2)):
+        if values[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {values[key]}")
     if len(values["groups"]) < 2:
         raise ConfigError("need at least two groups")
     if len(set(values["groups"])) < len(values["groups"]):
@@ -180,6 +185,9 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError("term must be at least 1")
     if not 0 <= values["age_min"] <= values["age_max"] <= OPEN_AGE_CLASS:
         raise ConfigError(f"need 0 <= age_min <= age_max <= {OPEN_AGE_CLASS}")
+    n_ages = values["age_max"] - values["age_min"] + 1
+    if values["term"] > n_ages:
+        raise ConfigError(f"term {values['term']} exceeds the {n_ages} ages in age_min-age_max")
     if None not in (values["year_min"], values["year_max"]) and values["year_max"] < values["year_min"]:
         raise ConfigError("year_max must be at least year_min")
     if values["horizon"] < 0:

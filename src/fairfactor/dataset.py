@@ -11,7 +11,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 PANEL_CSV_HEADER = ["group", "year", "age", "log_rate_centered", "intercept"]
 
 OPEN_AGE_CLASS = 110
+
+_BLOCK_CHARS = 1 << 16  # characters of HMD text split into lines at a time (parse_hmd_1x1)
 
 
 class DataError(ValueError):
@@ -75,15 +77,31 @@ def _parse_rate(token: str, lineno: int) -> float:
     return value
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), split one block at a time.
+
+    Each block holds about _BLOCK_CHARS characters and ends just after a
+    line feed, or at the end of the text. So a CR LF pair never straddles
+    two blocks, every block boundary is a line boundary, and the blocks'
+    lines are the text's lines, without a list of them all.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_hmd_1x1(text: str | Iterable[str]) -> MortalityTable:
     """Parse an HMD Mx 1x1 file (columns Year, Age, Female, Male, Total).
 
     The first two lines are headers. A column-name line starting with "Year"
     is tolerated wherever it appears. Age "110+" maps to 110, missing rates
     "." map to NaN. Years must lie in 0-9999 and ages in 0-110, years must be
-    non-decreasing, and duplicate (year, age) cells are rejected.
+    non-decreasing, and duplicate (year, age) cells are rejected. A str is
+    split into lines block by block; any other iterable of lines is iterated.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    lines = _text_lines(text) if isinstance(text, str) else text
     # typed columns: 8 bytes a cell, where a list holds a pointer plus a Python object
     years, ages = array("l"), array("l")
     female, male, total = array("d"), array("d"), array("d")

@@ -73,6 +73,12 @@ def test_config_validation_errors():
         "year_min=2000\nyear_max=1990",
         "annuity_mode=bogus",
         "line_search=exact-grid",
+        # the default model, factor, runs no optimizer and no cv, but these can never be valid
+        "max_iterations=0",
+        "restarts=0",
+        "epsilon=-1",
+        "cv_folds=1",
+        "age_min=80\nterm=7",
     ):
         with pytest.raises(ConfigError):
             resolve_config(parse_config_text(bad))
@@ -175,6 +181,15 @@ def test_read_rates_csv_fuzz_fails_only_with_data_errors(tmp_path, hmd_file):
         ("repro", "repro_lambda_decision=nan"),
         ("cv", "cv_lambdas=0,nan"),
         ("cv", "cv_lambda_cap=nan"),
+        ("fit", "max_iterations=0"),
+        ("fit", "restarts=0"),
+        ("fit", "epsilon=-1"),
+        ("fit", "epsilon=0"),
+        ("cv", "cv_folds=1"),
+        ("fit", "term=17"),
+        ("cv", "term=30"),
+        ("price", "term=30"),
+        ("repro", "term=30"),
     ],
 )
 def test_non_finite_optimizer_settings_are_config_errors(tmp_path, capsys, hmd_file, command, setting):

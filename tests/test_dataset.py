@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import hmd_text
 
+from fairfactor import dataset
 from fairfactor.dataset import (
     DataError,
     GroupedPanel,
@@ -74,7 +75,9 @@ def test_parse_rejects_out_of_range_year_or_age(year, age):
 
 def test_parse_paper_shape_peak_memory():
     # 8514 rows of a 434 KB file: typed columns hold a cell in 8 bytes, where
-    # lists of floats and a set of (year, age) tuples took over 3 MB
+    # lists of floats and a set of (year, age) tuples took over 3 MB, and the
+    # text is split into lines a block at a time, where a list of all its
+    # lines took about 0.9 MB more
     text = hmd_text(years=(1921, 2019), ages=(0, 85))
     tracemalloc.start()
     try:
@@ -83,7 +86,40 @@ def test_parse_paper_shape_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(table.years) == 99 * 86
-    assert peak < 2.4e6
+    assert peak < 1.0e6
+
+
+def parse_outcome(text):
+    """The table's columns as bytes, or the message of the error it raises."""
+    try:
+        table = parse_hmd_1x1(text)
+    except DataError as exc:
+        return str(exc)
+    return tuple(column.tobytes() for column in (table.years, table.ages, *table.rates.values()))
+
+
+# every line break str.splitlines knows, apart from LF itself and the
+# separators it handles like these (\x1d, \x1e, \u2029)
+LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
+
+
+def test_parse_in_small_blocks_matches_whole_text(monkeypatch):
+    # blocks end just after a "\n", so no CR LF pair is split and the lines,
+    # and the line numbers in errors, are those of the whole text's splitlines
+    body = ["1921  0  0.05  0.07  0.06", "1921  1  0.05  0.07  0.06", "", "1922  0  0.04  0.06  0.05"]
+    bad = body[:1] + ["1921  1  0.05  oops  0.06"] + body[2:]
+    texts = []
+    for brk in LINE_BREAKS + ("\n",):
+        header = HEADER.replace("\n", brk)
+        texts += [header + brk.join(body) + brk, header + brk.join(body), header + brk.join(bad) + brk]
+    mixed = [HEADER.rstrip("\n")] + body + bad
+    texts.append("".join(line + LINE_BREAKS[i % len(LINE_BREAKS)] + "\n" for i, line in enumerate(mixed)))
+    for block in range(1, 40):
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", block)
+        for text in texts:
+            assert list(dataset._text_lines(text)) == text.splitlines()
+            assert parse_outcome(text) == parse_outcome(text.splitlines())
+    assert isinstance(parse_outcome(texts[2]), str) and "line 5" in parse_outcome(texts[2])
 
 
 FUZZ_TOKENS = (
@@ -118,14 +154,18 @@ def mutate_lines(lines, rng):
     return lines
 
 
-def test_parse_and_build_fuzz_fail_only_with_data_errors():
+def test_parse_and_build_fuzz_fail_only_with_data_errors(monkeypatch):
     # seeded mutations of a 16-age file; like the CLI, the year window is the
-    # table's own. Every outcome is a panel pair or a DataError (exit code 3).
+    # table's own. Every outcome is a panel pair or a DataError (exit code 3),
+    # and parsing the text in 100-character blocks gives the whole text's.
     rng = np.random.default_rng(2024)
     base = hmd_text().splitlines()
     outcomes = {"built": 0, "rejected": 0}
     for _ in range(200):
         text = "\n".join(mutate_lines(base, rng))
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "_BLOCK_CHARS", 100)
+            assert parse_outcome(text) == parse_outcome(text.splitlines())
         try:
             table = parse_hmd_1x1(text)
             if len(table.years) == 0:

@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import hmd_text
 
 from fairfactor import optimizer
-from fairfactor.dataset import GroupedPanel, Panel, synthesize
+from fairfactor.dataset import GroupedPanel, Panel, build_panel, parse_hmd_1x1, split_train_test, synthesize
 from fairfactor.factor import Loading, fit_pca, group_errors, pairwise_unfairness, reconstruction_error
 from fairfactor.linalg import nearest_orthonormal, principal_angle
 from fairfactor.optimizer import (
@@ -358,6 +359,27 @@ def test_taylor_step_allocates_no_candidate_stack():
     assert peak < 60 * len(_STEP_GRID) * 80 * 8 / 4
 
 
+def test_decision_pass_keeps_its_chunk_budget():
+    # at paper shape (86 ages, 2 x 69 training rows) a taylor pass holds about
+    # 4.3 (rows, N) arrays, 400 KB, per loading, so it takes one loading per
+    # call, 507 KB here; taking two at a time traced 979 KB
+    table = parse_hmd_1x1(hmd_text(years=(1921, 2019), ages=(0, 85)))
+    panels = [build_panel(table, group, ages=(0, 85), years=(1921, 2019)) for group in ("male", "female")]
+    data = GroupedPanel(tuple(split_train_test(panel, 1989)[0] for panel in panels))
+    problem = _DecisionProblem(data, annuity_transform_for(data, term=10, discount=1 / 1.05), 2.0)
+    rng = np.random.default_rng(27)
+    stack = np.stack([random_loading(rng, 86, 1).matrix for _ in range(5)])
+    signal, signal_norm = np.zeros((5,) + problem.signal_shape), np.zeros(5)
+    problem.descent(stack, signal, signal_norm)
+    tracemalloc.start()
+    try:
+        problem.descent(stack, signal, signal_norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600_000
+
+
 def lockstep_cases():
     data, _ = synthesize(N=10, r=2, group_sizes=[20, 15], noise_scales=[1.5, 0.5], seed=3)
     for r in (1, 2):
@@ -382,7 +404,7 @@ def test_restarts_in_lockstep_take_their_own_steps(case):
     stack = np.stack([fit_pca(data, r).loading.matrix] + randoms)
     opts = OptimizerOptions(max_iterations=400)
     alone = [optimizer._pgd(problem, stack[i : i + 1], opts)[0] for i in range(len(stack))]
-    for chunk in (problem.chunk, 2):  # also with the signals and gradients taken two loadings at a time
+    for chunk in (problem.chunk, 2, 1):  # also with the signals and gradients taken two or one at a time
         problem.chunk = chunk
         together = optimizer._pgd(problem, stack, opts)
         for a, b in zip(together, alone):
