@@ -144,15 +144,9 @@ def parse_hmd_1x1(text: str | Iterable[str]) -> MortalityTable:
         female.append(_parse_rate(tokens[2], lineno))
         male.append(_parse_rate(tokens[3], lineno))
         total.append(_parse_rate(tokens[4], lineno))
-    return MortalityTable(
-        years=np.array(years, dtype=int),
-        ages=np.array(ages, dtype=int),
-        rates={
-            "female": np.array(female, dtype=float),
-            "male": np.array(male, dtype=float),
-            "total": np.array(total, dtype=float),
-        },
-    )
+    columns = (np.frombuffer(c, dtype=c.typecode) for c in (years, ages, female, male, total))
+    years, ages, female, male, total = columns  # views that share the typed columns' memory, not copies
+    return MortalityTable(years=years, ages=ages, rates={"female": female, "male": male, "total": total})
 
 
 @dataclass(frozen=True)

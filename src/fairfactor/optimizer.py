@@ -20,7 +20,7 @@ forms coincide.
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ _TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
 _CHUNK_BYTES = 1 << 18
 # (total_rows, N) arrays per loading that a decision _pass holds, by kind of
 # transform (tracemalloc peaks at paper shape: 86 ages, 2 x 69 rows, term 10)
-_DECISION_PASS_ARRAYS = {"taylor": 4.3, "exact": 18.3, "elementwise": 3.5}
+_DECISION_PASS_ARRAYS = {"taylor": 4.3, "exact": 12.6, "elementwise": 3.5}
 
 
 @dataclass(frozen=True)
@@ -197,26 +197,25 @@ class _FactorProblem(_Problem):
         return errors, grads, recon
 
 
-def _weight_tiles(M: np.ndarray, term: int, discount: float) -> list:
+def _weight_tiles(M: np.ndarray, term: int, discount: float) -> Iterator[tuple]:
     """The EPV weight matrices W_t of every row t of a (T, N) rate matrix, in tiles.
 
     Row i of W_t is zero outside columns i .. i + term - 2 (epv_weight_bands).
     Tile (lo, hi, A) covers rows lo .. hi-1: A is (T, hi - lo + term - 2,
     hi - lo) and holds their transpose over the columns from lo that they
     reach. Dense tiles let BLAS weigh candidates row by row, at a fraction
-    of the memory and work of the dense (T, width, N) stack.
+    of the memory and work of the dense (T, width, N) stack. The tiles are
+    built as they are taken, so a single pass over them holds one at a time.
     """
     bands = epv_weight_bands(M, term, discount)
     T, width, depth = bands.shape
-    tiles = []
     for lo in range(0, width, _TILE):
         hi = min(lo + _TILE, width)
         A = np.zeros((T, hi - lo + depth - 1, hi - lo))
         idx = np.arange(hi - lo)
         for j in range(depth):
             A[:, idx + j, idx] = bands[:, lo:hi, j]
-        tiles.append((lo, hi, A))
-    return tiles
+        yield lo, hi, A
 
 
 def _weigh(tiles: list, x: np.ndarray) -> np.ndarray:
@@ -228,7 +227,7 @@ def _weigh(tiles: list, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weigh_adjoint(tiles: list, z: np.ndarray, n: int) -> np.ndarray:
+def _weigh_adjoint(tiles: Iterable, z: np.ndarray, n: int) -> np.ndarray:
     """W_t^T z_t for every row t of a (..., T, width) stack; the result is (..., T, n)."""
     out = np.zeros(z.shape[:-1] + (n,))
     for lo, hi, A in tiles:
@@ -259,8 +258,9 @@ class _DecisionProblem(_Problem):
             self.intercepts = [g.intercept_for(p.group) for p in data.panels]
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
-            self.tiles = [_weight_tiles(m, g.term, g.discount) for m in self.m_obs]
-            self._workspace: dict = {}  # (rows, chunk) -> (rates, tile) buffers of _errors_chunk
+            self.tiles = [list(_weight_tiles(m, g.term, g.discount)) for m in self.m_obs]
+            size = max(self.rows) * len(_STEP_GRID)  # the largest group and chunk of _errors_chunk
+            self._rates, self._tile = np.empty(size * self.N), np.empty(size * _TILE)  # its flat workspace
         else:
             self.g_ys = [apply_transform(g, group, y) for group, y in zip(self.groups, self.ys)]
 
@@ -286,7 +286,7 @@ class _DecisionProblem(_Problem):
         error = (d * d).sum(axis=(1, 2)) / self.rows[k]
         inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
         rates = np.clip(m_recon, 0.0, 1.0).reshape(-1, self.N)  # every sample of every loading is a row
-        tiles = _weight_tiles(rates, self.g.term, self.g.discount)
+        tiles = _weight_tiles(rates, self.g.term, self.g.discount)  # one tile at a time
         u = _weigh_adjoint(tiles, d.reshape(len(rates), -1), self.N).reshape(m_recon.shape)  # W(m_recon)^T d
         return error, np.where(inside, m_recon, 0.0) * u, priced
 
@@ -299,19 +299,17 @@ class _DecisionProblem(_Problem):
     def _errors_chunk(self, stack: np.ndarray) -> np.ndarray:
         """In taylor mode the reconstructions are laid out row by row,
         (T, B, N), so that each row's W_t weighs all candidates in one
-        matrix product. They are written into a workspace kept per (T, B),
-        and weighed one tile at a time, so a step allocates no (T, B, N)
-        array.
+        matrix product. They are written into the problem's workspace, laid
+        out as a fresh (T, B, N) array would be, and weighed one tile at a
+        time, so a step allocates no (T, B, N) array.
         """
         B = stack.shape[0]
         out = np.empty((B, len(self.ys)))
         for k, Y in enumerate(self.ys):
             scores = np.matmul(Y, stack) / self.N  # (B, T, r)
             if self.taylor:
-                key = (len(Y), B)
-                if key not in self._workspace:
-                    self._workspace[key] = (np.empty((len(Y), B, self.N)), np.empty((len(Y), B, _TILE)))
-                e, buffer = self._workspace[key]
+                e = self._rates[: len(Y) * B * self.N].reshape(len(Y), B, self.N)
+                buffer = self._tile[: len(Y) * B * _TILE].reshape(len(Y), B, _TILE)
                 np.einsum("btq,bnq->tbn", scores, stack, out=e)
                 e += self.intercepts[k]
                 np.exp(e, out=e)

@@ -77,7 +77,8 @@ def test_parse_paper_shape_peak_memory():
     # 8514 rows of a 434 KB file: typed columns hold a cell in 8 bytes, where
     # lists of floats and a set of (year, age) tuples took over 3 MB, and the
     # text is split into lines a block at a time, where a list of all its
-    # lines took about 0.9 MB more
+    # lines took about 0.9 MB more; the table shares the typed columns'
+    # memory, where copying them into new arrays traced 708 KB against 470 KB
     text = hmd_text(years=(1921, 2019), ages=(0, 85))
     tracemalloc.start()
     try:
@@ -86,7 +87,7 @@ def test_parse_paper_shape_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(table.years) == 99 * 86
-    assert peak < 1.0e6
+    assert peak < 6.0e5
 
 
 def parse_outcome(text):

@@ -308,7 +308,7 @@ def test_annuity_kernel_across_weight_tiles(mode):
     rng = np.random.default_rng(16)
     data = annuity_panels(rng, T1=7, T2=6, N=40, spread=0.1)
     g = annuity_transform_for(data, term=5, discount=0.95, annuity_mode=mode)
-    assert len(_weight_tiles(np.exp(data.panels[0].y + data.panels[0].intercept), 5, 0.95)) > 1
+    assert sum(1 for _ in _weight_tiles(np.exp(data.panels[0].y + data.panels[0].intercept), 5, 0.95)) > 1
     lam = 1.3
     weights = {p.group: epv_weights_stack(np.exp(p.y + p.intercept), 5, 0.95) for p in data.panels}
 
@@ -329,8 +329,8 @@ def test_annuity_kernel_across_weight_tiles(mode):
         return errs @ data.group_rows / data.total_rows + lam * (errs[0] - errs[1]) ** 2
 
     problem = _DecisionProblem(data, g, lam)
-    # batches of 5, 1 and 5 on groups of 7 and 6 rows: in taylor mode later
-    # calls reuse the workspace of earlier ones, so no result may alias it
+    # batches of 5, 1 and 5 on groups of 7 and 6 rows: in taylor mode every
+    # call and group reuses one workspace, so no result may alias it
     stacks = [np.stack([random_loading(rng, 40, 2).matrix for _ in range(b)]) for b in (5, 1, 5)]
     results = [problem.errors_batch(stack) for stack in stacks]
     for stack, result in zip(stacks, results):
@@ -359,14 +359,18 @@ def test_taylor_step_allocates_no_candidate_stack():
     assert peak < 60 * len(_STEP_GRID) * 80 * 8 / 4
 
 
-def test_decision_pass_keeps_its_chunk_budget():
-    # at paper shape (86 ages, 2 x 69 training rows) a taylor pass holds about
-    # 4.3 (rows, N) arrays, 400 KB, per loading, so it takes one loading per
-    # call, 507 KB here; taking two at a time traced 979 KB
+@pytest.mark.parametrize("mode, bound", [("taylor", 600_000), ("exact", 1_400_000)], ids=["taylor", "exact"])
+def test_decision_pass_keeps_its_chunk_budget(mode, bound):
+    # at paper shape (86 ages, 2 x 69 training rows) a pass takes one loading
+    # per call. A taylor pass holds about 4.3 (rows, N) arrays, 400 KB, per
+    # loading: 507 KB here, where taking two at a time traced 979 KB. An exact
+    # pass holds about 12.6, 1.2 MB: 1.29 MB here, where building every
+    # weight tile of the reconstruction before weighing with any traced 1.83 MB
     table = parse_hmd_1x1(hmd_text(years=(1921, 2019), ages=(0, 85)))
     panels = [build_panel(table, group, ages=(0, 85), years=(1921, 2019)) for group in ("male", "female")]
     data = GroupedPanel(tuple(split_train_test(panel, 1989)[0] for panel in panels))
-    problem = _DecisionProblem(data, annuity_transform_for(data, term=10, discount=1 / 1.05), 2.0)
+    g = annuity_transform_for(data, term=10, discount=1 / 1.05, annuity_mode=mode)
+    problem = _DecisionProblem(data, g, 2.0)
     rng = np.random.default_rng(27)
     stack = np.stack([random_loading(rng, 86, 1).matrix for _ in range(5)])
     signal, signal_norm = np.zeros((5,) + problem.signal_shape), np.zeros(5)
@@ -377,7 +381,7 @@ def test_decision_pass_keeps_its_chunk_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 600_000
+    assert peak <= bound
 
 
 def lockstep_cases():
