@@ -47,48 +47,45 @@ def _parse_optional_float(raw: str) -> float | None:
     return None if raw.strip() == "" else float(raw)
 
 
-# key -> (parser, default)
+# key -> (parser, default), plus for a numeric key its least valid value
+# (per element of a list; None where there is none). Every numeric value
+# must also be finite.
 _SCHEMA: dict[str, tuple] = {
     "data": (str, ""),
     "groups": (_parse_str_list, ("male", "female")),
-    "age_min": (int, 0),
-    "age_max": (int, 85),
-    "year_min": (lambda s: None if s.strip() == "" else int(s), None),
-    "year_max": (lambda s: None if s.strip() == "" else int(s), None),
-    "train_cutoff": (int, 1989),
+    "age_min": (int, 0, None),
+    "age_max": (int, 85, None),
+    "year_min": (lambda s: None if s.strip() == "" else int(s), None, None),
+    "year_max": (lambda s: None if s.strip() == "" else int(s), None, None),
+    "train_cutoff": (int, 1989, None),
     "standardize": (_parse_bool, False),
     "model": (str, "factor"),
-    "r": (int, 1),
-    "lambda": (float, 0.0),
-    "term": (int, 10),
-    "discount": (float, DEFAULT_DISCOUNT),
+    "r": (int, 1, 1),
+    "lambda": (float, 0.0, 0),
+    "term": (int, 10, 1),
+    "discount": (float, DEFAULT_DISCOUNT, None),
     "annuity_mode": (str, "taylor"),
-    "max_iterations": (int, 2000),
-    "epsilon": (float, 1e-6),
-    "restarts": (int, 5),
-    "seed": (int, 0),
-    "cv_folds": (int, 5),
-    "cv_lambdas": (_parse_float_list, (0.0, 0.5, 1.0, 2.0, 5.0, 11.0, 20.0, 50.0)),
-    "cv_lambda_cap": (_parse_optional_float, None),
+    "max_iterations": (int, 2000, 1),
+    "epsilon": (float, 1e-6, None),
+    "restarts": (int, 5, 1),
+    "seed": (int, 0, 0),
+    "cv_folds": (int, 5, 2),
+    "cv_lambdas": (_parse_float_list, (0.0, 0.5, 1.0, 2.0, 5.0, 11.0, 20.0, 50.0), 0),
+    "cv_lambda_cap": (_parse_optional_float, None, 0),
     "cv_random_folds": (_parse_bool, False),
-    "horizon": (int, 0),
+    "horizon": (int, 0, 0),
     "predictions": (str, ""),
-    "sim_ages": (int, 20),
-    "sim_r": (int, 1),
-    "sim_group_sizes": (_parse_int_list, (60, 60)),
-    "sim_noise_scales": (_parse_float_list, (2.0, 1.0)),
-    "repro_lambda_factor": (float, 11.0),
-    "repro_lambda_decision": (float, 2.0),
+    "sim_ages": (int, 20, 1),
+    "sim_r": (int, 1, 1),
+    "sim_group_sizes": (_parse_int_list, (60, 60), 2),
+    "sim_noise_scales": (_parse_float_list, (2.0, 1.0), 0),
+    "repro_lambda_factor": (float, 11.0, 0),
+    "repro_lambda_decision": (float, 2.0, 0),
     "out": (str, ""),
-    "jobs": (int, 1),
+    "jobs": (int, 1, 1),
 }
 
 _MODELS = ("factor", "fair-factor", "fair-decision")
-
-# penalties and tolerances: nan passes every < and <= check, so test finiteness
-_FINITE_KEYS = (
-    "lambda", "epsilon", "repro_lambda_factor", "repro_lambda_decision", "cv_lambdas", "cv_lambda_cap"
-)
 
 # execution details that do not change the scientific result
 _HASH_EXEMPT = ("out", "jobs")
@@ -142,7 +139,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def resolve_config(raw: dict[str, str]) -> RunConfig:
     """Validate raw strings against the schema and apply defaults."""
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
+    values = {key: entry[1] for key, entry in _SCHEMA.items()}
     group_data: dict[str, str] = {}
     for key, raw_value in raw.items():
         if key.startswith("data."):
@@ -150,39 +147,35 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
             continue
         if key not in _SCHEMA:
             raise ConfigError(f"unknown configuration key {key!r}")
-        parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(raw_value)
+            values[key] = _SCHEMA[key][0](raw_value)
         except ConfigError:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw_value!r} ({exc})") from None
+    for key, (_, _, *bound) in _SCHEMA.items():
+        value = values[key]
+        if not bound or value is None:
+            continue
+        least = -math.inf if bound[0] is None else bound[0]
+        # nan fails every comparison, so it fails this one too
+        if not all(least <= v < math.inf for v in (value if isinstance(value, tuple) else (value,))):
+            at_least = "" if bound[0] is None else f" and at least {bound[0]}"
+            raise ConfigError(f"{key} must be finite{at_least}, got {raw[key]!r}")
+    if not values["cv_lambdas"] or len(set(values["cv_lambdas"])) < len(values["cv_lambdas"]):
+        raise ConfigError(f"cv_lambdas must list one or more distinct penalties, got {raw['cv_lambdas']!r}")
     if values["model"] not in _MODELS:
         raise ConfigError(f"model must be one of {_MODELS}, got {values['model']!r}")
     if values["annuity_mode"] not in ANNUITY_MODES:
         raise ConfigError(f"annuity_mode must be one of {ANNUITY_MODES}, got {values['annuity_mode']!r}")
-    if values["r"] < 1:
-        raise ConfigError("r must be at least 1")
-    for key in _FINITE_KEYS:
-        value = values[key]
-        numbers = () if value is None else value if isinstance(value, tuple) else (value,)
-        if not all(map(math.isfinite, numbers)):
-            raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
-    if values["lambda"] < 0:
-        raise ConfigError("lambda must be non-negative")
     if values["epsilon"] <= 0:
         raise ConfigError(f"epsilon must be positive, got {values['epsilon']}")
-    for key, least in (("max_iterations", 1), ("restarts", 1), ("cv_folds", 2)):
-        if values[key] < least:
-            raise ConfigError(f"{key} must be at least {least}, got {values[key]}")
     if len(values["groups"]) < 2:
         raise ConfigError("need at least two groups")
     if len(set(values["groups"])) < len(values["groups"]):
         raise ConfigError(f"groups repeat a label: {values['groups']}")
     if not 0.0 < values["discount"] <= 1.0:
         raise ConfigError("discount must lie in (0, 1]")
-    if values["term"] < 1:
-        raise ConfigError("term must be at least 1")
     if not 0 <= values["age_min"] <= values["age_max"] <= OPEN_AGE_CLASS:
         raise ConfigError(f"need 0 <= age_min <= age_max <= {OPEN_AGE_CLASS}")
     n_ages = values["age_max"] - values["age_min"] + 1
@@ -190,10 +183,6 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"term {values['term']} exceeds the {n_ages} ages in age_min-age_max")
     if None not in (values["year_min"], values["year_max"]) and values["year_max"] < values["year_min"]:
         raise ConfigError("year_max must be at least year_min")
-    if values["horizon"] < 0:
-        raise ConfigError("horizon must be non-negative")
-    if values["jobs"] < 1:
-        raise ConfigError("jobs must be at least 1")
     unknown_groups = set(group_data) - set(values["groups"])
     if unknown_groups:
         raise ConfigError(f"data.* overrides for unknown groups: {sorted(unknown_groups)}")

@@ -167,6 +167,8 @@ def cross_validate_lambda(
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise ValueError("empty penalty grid")
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"the penalty grid repeats a value: {grid}")
     if any(v < 0 for v in grid):
         raise ValueError("penalties must be non-negative")
     if lambda_cap is not None and lambda_cap < 0:

@@ -61,12 +61,7 @@ _IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
 _STAGNATION_TOL = 1e-14
 _STAGNATION_LIMIT = 20
 _TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
-# bytes of the (total_rows, N) float arrays that one _pass holds at its peak:
-# pass_arrays of them per loading, times the loadings it takes at once
-_CHUNK_BYTES = 1 << 18
-# (total_rows, N) arrays per loading that a decision _pass holds, by kind of
-# transform (tracemalloc peaks at paper shape: 86 ages, 2 x 69 rows, term 10)
-_DECISION_PASS_ARRAYS = {"taylor": 4.3, "exact": 12.6, "elementwise": 3.5}
+_CHUNK_BYTES = 1 << 18  # bytes of the (total_rows, N) reconstructions one factor _pass holds
 
 
 @dataclass(frozen=True)
@@ -132,13 +127,13 @@ class _Problem:
     does not depend on how many rows it has.
     """
 
-    def __init__(self, data: GroupedPanel, penalty: float, pass_arrays: float):
+    chunk = 1  # loadings per _pass: a decision pass takes one at a time
+
+    def __init__(self, data: GroupedPanel, penalty: float):
         self.penalty = penalty
         self.N = data.n_ages
         self.rows = data.group_rows
         self.total_rows = data.total_rows
-        # loadings per _pass, which holds pass_arrays (total_rows, N) arrays per loading
-        self.chunk = max(1, int(_CHUNK_BYTES // (pass_arrays * 8 * self.total_rows * self.N)))
 
     def objective(self, loading: Loading) -> float:
         return _combine(self.errors_batch(loading.matrix[None])[0], self.rows, self.total_rows, self.penalty)
@@ -170,7 +165,8 @@ class _FactorProblem(_Problem):
     """Reconstruction errors in the substituted trace form, from Gram matrices."""
 
     def __init__(self, data: GroupedPanel, penalty: float):
-        super().__init__(data, penalty, pass_arrays=1)  # the reconstruction
+        super().__init__(data, penalty)
+        self.chunk = max(1, _CHUNK_BYTES // (8 * self.total_rows * self.N))
         self.grams = [p.y.T @ p.y for p in data.panels]
         self.sq = [float((p.y**2).sum()) for p in data.panels]
         self.Y = data.stacked()
@@ -246,8 +242,7 @@ class _DecisionProblem(_Problem):
     """
 
     def __init__(self, data: GroupedPanel, g: DecisionTransform, penalty: float):
-        kind = g.annuity_mode if g.kind == "annuity" else g.kind
-        super().__init__(data, penalty, _DECISION_PASS_ARRAYS[kind])
+        super().__init__(data, penalty)
         self.g = g
         self.groups = data.groups
         self.ys = [p.y for p in data.panels]

@@ -300,7 +300,7 @@ def run_simulate(config: RunConfig, writer: ArtifactWriter) -> None:
             seed=config.seed,
         )
     except DataError as exc:  # simulate reads no data: its sim_* settings are at fault
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"sim_ages, sim_r, sim_group_sizes and sim_noise_scales do not fit: {exc}") from None
     writer.write_panels("panels.csv", data.panels)
     writer.write_json(
         "truth.json",

@@ -190,6 +190,13 @@ def test_read_rates_csv_fuzz_fails_only_with_data_errors(tmp_path, hmd_file):
         ("cv", "term=30"),
         ("price", "term=30"),
         ("repro", "term=30"),
+        ("fit", "seed=-1"),
+        ("repro", "repro_lambda_factor=-1"),
+        ("repro", "repro_lambda_decision=-1"),
+        ("cv", "cv_lambdas=-1,2"),
+        ("cv", "cv_lambdas=2,0,2"),
+        ("cv", "cv_lambdas="),
+        ("cv", "cv_lambda_cap=-1"),
     ],
 )
 def test_non_finite_optimizer_settings_are_config_errors(tmp_path, capsys, hmd_file, command, setting):
@@ -403,13 +410,20 @@ def test_simulate_seed_changes_output(tmp_path):
         ["sim_group_sizes=1,8"],
         ["sim_noise_scales=1,2,3"],
         ["sim_noise_scales=-1,1"],
+        ["sim_ages=0"],
+        ["sim_group_sizes=5,1"],
+        ["sim_noise_scales=-1"],
     ],
-    ids=["rank-zero", "one-group", "one-row-group", "mismatched-scales", "negative-scale"],
+    ids=[
+        "rank-zero", "one-group", "one-row-group", "mismatched-scales", "negative-scale",
+        "no-ages", "one-row-last-group", "negative-scale-one-group",
+    ],
 )
 def test_simulate_bad_settings_are_config_errors(tmp_path, capsys, settings):
     overrides = [arg for s in settings for arg in ("--set", s)]
     assert run_cli("simulate", *overrides, "--out", str(tmp_path / "o")) == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and settings[-1].split("=")[0] in record["message"]
 
 
 # ------------------------------------------------------------- pipeline

@@ -361,11 +361,12 @@ def test_taylor_step_allocates_no_candidate_stack():
 
 @pytest.mark.parametrize("mode, bound", [("taylor", 600_000), ("exact", 1_400_000)], ids=["taylor", "exact"])
 def test_decision_pass_keeps_its_chunk_budget(mode, bound):
-    # at paper shape (86 ages, 2 x 69 training rows) a pass takes one loading
-    # per call. A taylor pass holds about 4.3 (rows, N) arrays, 400 KB, per
-    # loading: 507 KB here, where taking two at a time traced 979 KB. An exact
-    # pass holds about 12.6, 1.2 MB: 1.29 MB here, where building every
-    # weight tile of the reconstruction before weighing with any traced 1.83 MB
+    # a decision pass takes one loading per call. At paper shape (86 ages,
+    # 2 x 69 training rows) a taylor pass holds about 4.3 (rows, N) arrays,
+    # 400 KB, per loading: 507 KB here, where taking two at a time traced
+    # 979 KB. An exact pass holds about 12.6, 1.2 MB: 1.29 MB here, where
+    # building every weight tile of the reconstruction before weighing with
+    # any traced 1.83 MB
     table = parse_hmd_1x1(hmd_text(years=(1921, 2019), ages=(0, 85)))
     panels = [build_panel(table, group, ages=(0, 85), years=(1921, 2019)) for group in ("male", "female")]
     data = GroupedPanel(tuple(split_train_test(panel, 1989)[0] for panel in panels))
@@ -408,7 +409,7 @@ def test_restarts_in_lockstep_take_their_own_steps(case):
     stack = np.stack([fit_pca(data, r).loading.matrix] + randoms)
     opts = OptimizerOptions(max_iterations=400)
     alone = [optimizer._pgd(problem, stack[i : i + 1], opts)[0] for i in range(len(stack))]
-    for chunk in (problem.chunk, 2, 1):  # also with the signals and gradients taken two or one at a time
+    for chunk in (len(stack), 2, 1):  # the signals and gradients taken all at once, two or one at a time
         problem.chunk = chunk
         together = optimizer._pgd(problem, stack, opts)
         for a, b in zip(together, alone):
