@@ -83,7 +83,7 @@ class FitResult:
     groups: tuple[str, ...]
     iteration_log: tuple[dict, ...] = field(default=(), repr=False)
     clipped_rates: int = 0
-    # the kept run's stop (small_change | stagnation | no_descent | max_iterations),
+    # the kept run's stop (small_change | no_descent | max_iterations),
     # the Riemannian gradient norm at the returned loading and the candidate
     # loadings the kept run priced; None, None, 0 for PCA and older files
     stop_reason: str | None = None

@@ -171,8 +171,8 @@ def cross_validate_lambda(
         raise ValueError(f"the penalty grid repeats a value: {grid}")
     if any(v < 0 for v in grid):
         raise ValueError("penalties must be non-negative")
-    if lambda_cap is not None and lambda_cap < 0:
-        raise ValueError("the gap cap must be non-negative")
+    if lambda_cap is not None and not lambda_cap >= 0:  # nan fails this too; inf caps nothing
+        raise ValueError(f"the gap cap must be non-negative, got {lambda_cap}")
     if k < 2:
         raise ValueError("need at least two folds")
     for p in data.panels:

@@ -18,6 +18,7 @@ forms coincide.
 """
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
@@ -58,10 +59,13 @@ __all__ = [
 
 _STEP_GRID = np.geomspace(1e-6, 10.0, 25)  # step sizes, in units of ||L||_F / ||grad||_F
 _IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
-_STAGNATION_TOL = 1e-14
-_STAGNATION_LIMIT = 20
 _TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
 _CHUNK_BYTES = 1 << 18  # bytes of the (total_rows, N) reconstructions one factor _pass holds
+
+
+def _check_penalty(penalty: float) -> None:
+    if not (math.isfinite(penalty) and penalty >= 0.0):
+        raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,13 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.penalty) and self.penalty >= 0.0):
-            raise ValueError(f"penalty must be finite and non-negative, got {self.penalty}")
+        _check_penalty(self.penalty)
         if not (math.isfinite(self.convergence_epsilon) and self.convergence_epsilon > 0.0):
             raise ValueError(f"convergence epsilon must be finite and positive, got {self.convergence_epsilon}")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be at least 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def random_loading(rng: "np.random.Generator", n: int, r: int) -> Loading:
@@ -138,11 +143,11 @@ class _Problem:
     def objective(self, loading: Loading) -> float:
         return _combine(self.errors_batch(loading.matrix[None])[0], self.rows, self.total_rows, self.penalty)
 
-    def descent(self, stack: np.ndarray, signal: np.ndarray, signal_norm: np.ndarray):
+    def descent(self, stack: np.ndarray, signal: np.ndarray):
         """The (R, N, r) penalized gradients of a (R, N, r) stack of loadings
         and the relative change of their stop signals from `signal`,
-        self.chunk loadings per _pass. The new signals and their norms
-        overwrite `signal` and `signal_norm` in place."""
+        self.chunk loadings per _pass. The new signals overwrite `signal`
+        in place."""
         errors = np.empty((len(stack), len(self.rows)))
         grads = [np.empty_like(stack) for _ in self.rows]
         change = np.empty(len(stack))
@@ -151,14 +156,16 @@ class _Problem:
             errors[part], parts, new = self._pass(stack[part])
             for k, grad in enumerate(parts):
                 grads[k][part] = grad
+            old = _norms(signal[part])
             diff = _norms(np.subtract(new, signal[part], out=signal[part]))
-            change[part] = np.where(diff == 0.0, 0.0, diff / np.maximum(signal_norm[part], 1e-300))
-            signal[part], signal_norm[part] = new, _norms(new)
+            change[part] = np.where(diff == 0.0, 0.0, diff / np.maximum(old, 1e-300))
+            signal[part] = new
         return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty), change
 
     def gradients(self, stack: np.ndarray) -> np.ndarray:
-        """(R, N, r) penalized gradients of a (R, N, r) stack of loadings."""
-        return self.descent(stack, np.zeros((len(stack),) + self.signal_shape), np.zeros(len(stack)))[0]
+        """(R, N, r) penalized gradients of a (R, N, r) stack of loadings, in one _pass."""
+        errors, grads, _ = self._pass(stack)
+        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
 
 
 class _FactorProblem(_Problem):
@@ -259,13 +266,10 @@ class _DecisionProblem(_Problem):
         else:
             self.g_ys = [apply_transform(g, group, y) for group, y in zip(self.groups, self.ys)]
 
-    def _recon(self, k: int, stack: np.ndarray) -> np.ndarray:
-        return np.matmul(np.matmul(self.ys[k], stack), stack.transpose(0, 2, 1)) / self.N
-
-    def _error_parts(self, k: int, stack: np.ndarray):
-        """Return ((R,) error_k, (R, T, N) Z_k, g(recon_k)), where Z_k stacks
-        the per-sample z vectors."""
-        recon = self._recon(k, stack)
+    def _error_parts(self, k: int, stack: np.ndarray, YL: np.ndarray):
+        """Return ((R,) error_k, (R, T, N) Z_k, g(recon_k)) from the (R, T, r)
+        products Y_k L, where Z_k stacks the per-sample z vectors."""
+        recon = np.matmul(YL, stack.transpose(0, 2, 1)) / self.N
         if self.g.kind == "elementwise":
             func, derivative = self.g.funcs()
             priced = func(recon)
@@ -325,8 +329,9 @@ class _DecisionProblem(_Problem):
         """The stop signals stack each group's g(recon) along the rows."""
         errors, grads, signals = np.empty((len(stack), len(self.ys))), [], []
         for k, Y in enumerate(self.ys):
-            errors[:, k], Z, priced = self._error_parts(k, stack)
-            ZtYL = np.matmul(Z.transpose(0, 2, 1), np.matmul(Y, stack))
+            YL = np.matmul(Y, stack)
+            errors[:, k], Z, priced = self._error_parts(k, stack, YL)
+            ZtYL = np.matmul(Z.transpose(0, 2, 1), YL)
             grads.append((2.0 / (self.rows[k] * self.N)) * (ZtYL + np.matmul(Y.T, np.matmul(Z, stack))))
             signals.append(priced)
         return errors, grads, np.concatenate(signals, axis=1)
@@ -361,8 +366,7 @@ def fair_decision_objective(
     Uses the transform itself (exact annuity pricing, not the taylor
     surrogate); with g = identity this equals fair_factor_objective.
     """
-    if penalty < 0.0:
-        raise ValueError("penalty must be non-negative")
+    _check_penalty(penalty)
     return _combine(decision_errors(data, loading, g), data.group_rows, data.total_rows, penalty)
 
 
@@ -389,8 +393,7 @@ def fair_decision_gradient(
     transform inserts W^T W with weights frozen at the observed rates (taylor
     mode) or evaluated at the reconstruction (exact mode).
     """
-    if penalty < 0.0:
-        raise ValueError("penalty must be non-negative")
+    _check_penalty(penalty)
     return _problem(data, g, penalty).gradients(loading.matrix[None])[0]
 
 
@@ -419,7 +422,6 @@ class _Steps(NamedTuple):
     objectives: np.ndarray  # (R,) their objectives
     errors: np.ndarray  # (R, K) their group errors; NaN where the loading stays
     moved: np.ndarray  # (R,) whether the loading took a step
-    priced: np.ndarray  # (R,) whether its grid was priced: its gradient is nonzero
 
 
 def _step(problem, stack: np.ndarray, grads: np.ndarray, current: np.ndarray) -> _Steps:
@@ -454,7 +456,6 @@ def _step(problem, stack: np.ndarray, grads: np.ndarray, current: np.ndarray) ->
         np.where(moved, value, current),
         np.where(moved[:, None], batch_errors[pick], np.nan),
         moved,
-        priced,
     )
 
 
@@ -507,39 +508,35 @@ def _pgd(problem, stack: np.ndarray, opts: OptimizerOptions) -> list[_RunState]:
     runs = [_RunState(M, array("d", [obj])) for M, obj in zip(stack, starts)]
     running = list(runs)  # in the order of the arrays below
     current, objective = stack, np.array(starts)
-    signal, signal_norm = np.zeros((R,) + problem.signal_shape), np.zeros(R)
-    grads = problem.descent(current, signal, signal_norm)[0]  # the starts' signals fill the buffer
-    change, moved, priced = np.full(R, np.inf), np.ones(R, dtype=bool), np.ones(R, dtype=bool)
-    stagnant = np.zeros(R, dtype=int)
+    signal = np.zeros((R,) + problem.signal_shape)
+    grads = problem.descent(current, signal)[0]  # the starts' signals fill the buffer
+    change, moved = np.full(R, np.inf), np.ones(R, dtype=bool)
     for iteration in range(opts.max_iterations + 1):
-        small, stalled = change <= opts.convergence_epsilon, stagnant >= _STAGNATION_LIMIT
-        stop = ~moved | small | stalled | (iteration == opts.max_iterations)
+        small = change <= opts.convergence_epsilon
+        stop = ~moved | small | (iteration == opts.max_iterations)
         if stop.any():
             for i in np.flatnonzero(stop):
                 run = running[i]
                 run.stop_reason = (
-                    "no_descent" if not moved[i]
-                    else "small_change" if small[i]
-                    else "stagnation" if stalled[i]
-                    else "max_iterations"
+                    "no_descent" if not moved[i] else "small_change" if small[i] else "max_iterations"
                 )
                 run.matrix, run.gradient = current[i], grads[i]
-                run.evaluations = 1 + G * (iteration - (not priced[i]))
+                # a run that stayed at a zero gradient searched no grid in its last step
+                run.evaluations = 1 + G * (iteration - (not moved[i] and not grads[i].any()))
             keep = ~stop
             running = [run for run, k in zip(running, keep) if k]
             if not running:
                 break
             current, objective, errors, grads = current[keep], objective[keep], errors[keep], grads[keep]
-            signal, signal_norm, stagnant = signal[keep], signal_norm[keep], stagnant[keep]
+            signal = signal[keep]
         step = _step(problem, current, grads, objective)
         errors = np.where(step.moved[:, None], step.errors, errors)
-        stagnant = np.where(objective - step.objectives < _STAGNATION_TOL, stagnant + 1, 0)
-        current, objective, moved, priced = step.loadings, step.objectives, step.moved, step.priced
+        current, objective, moved = step.loadings, step.objectives, step.moved
         for run, obj, eta, e in zip(running, objective.tolist(), step.eta.tolist(), errors.tolist()):
             run.trace.append(obj)
             run.steps.append(eta)
             run.errors.extend(e)
-        grads, change = problem.descent(current, signal, signal_norm)
+        grads, change = problem.descent(current, signal)
     return runs
 
 
@@ -592,10 +589,9 @@ def fit_fair_factor(data: GroupedPanel, r: int, opts: OptimizerOptions) -> FitRe
     would take alone; `evaluations` counts the kept run's candidates only.
     A run stops when the relative change
     of the reconstruction Y L L^T / N drops below convergence_epsilon
-    (stop_reason "small_change"), after _STAGNATION_LIMIT steps that each gain
-    less than _STAGNATION_TOL ("stagnation"), when no grid step improves the
-    objective ("no_descent"), or at max_iterations ("max_iterations", the only
-    one with converged=False).
+    (stop_reason "small_change"), when no grid step improves the objective
+    ("no_descent"), or at max_iterations ("max_iterations", the only one
+    with converged=False).
     """
     return _fit(data, r, opts, identity_transform())
 

@@ -330,6 +330,8 @@ def run_fit(config: RunConfig, writer: ArtifactWriter) -> FitResult:
 
 
 def run_cv(config: RunConfig, writer: ArtifactWriter):
+    if config.model == "factor":
+        raise ConfigError("cv tunes a fairness penalty: model must be fair-factor or fair-decision, got 'factor'")
     data = load_panels(config)
     g = transform_for_model(config, config.model, data.train)
     table = cross_validate_lambda(

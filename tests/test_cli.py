@@ -206,6 +206,16 @@ def test_non_finite_optimizer_settings_are_config_errors(tmp_path, capsys, hmd_f
     assert record["error"] == "ConfigError" and setting.split("=")[0] in record["message"]
 
 
+def test_cv_of_the_plain_factor_model_is_a_config_error(tmp_path, capsys):
+    # the plain factor model has no penalty to cross-validate; the data file
+    # does not exist, so exit code 2 shows nothing was read
+    cfg = write_cfg(tmp_path, f"data={tmp_path / 'missing.txt'}\n")
+    assert run_cli("cv", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "model" in record["message"]
+    assert not any((tmp_path / "o").iterdir())
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code = run_cli("fit", "--set", "mystery=1", "--out", str(tmp_path / "o"))
     assert code == 2

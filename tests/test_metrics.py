@@ -186,8 +186,9 @@ def test_cv_rejects_bad_arguments():
         cross_validate_lambda(data, 1, [0.0], k=6, lambda_cap=None, g=identity_transform(), opts=quick_opts())
     with pytest.raises(ValueError, match="non-negative"):
         cross_validate_lambda(data, 1, [-1.0], k=2, lambda_cap=None, g=identity_transform(), opts=quick_opts())
-    with pytest.raises(ValueError, match="cap must be non-negative"):
-        cross_validate_lambda(data, 1, [0.0], k=2, lambda_cap=-1.0, g=identity_transform(), opts=quick_opts())
+    for cap in (-1.0, np.nan):  # a nan cap would make every row infeasible
+        with pytest.raises(ValueError, match="cap must be non-negative"):
+            cross_validate_lambda(data, 1, [0.0], k=2, lambda_cap=cap, g=identity_transform(), opts=quick_opts())
     with pytest.raises(ValueError, match="repeats"):  # it would fill two rows of the table
         cross_validate_lambda(data, 1, [2.0, 0.0, 2.0], k=2, lambda_cap=None, g=identity_transform(), opts=quick_opts())
 

@@ -374,11 +374,11 @@ def test_decision_pass_keeps_its_chunk_budget(mode, bound):
     problem = _DecisionProblem(data, g, 2.0)
     rng = np.random.default_rng(27)
     stack = np.stack([random_loading(rng, 86, 1).matrix for _ in range(5)])
-    signal, signal_norm = np.zeros((5,) + problem.signal_shape), np.zeros(5)
-    problem.descent(stack, signal, signal_norm)
+    signal = np.zeros((5,) + problem.signal_shape)
+    problem.descent(stack, signal)
     tracemalloc.start()
     try:
-        problem.descent(stack, signal, signal_norm)
+        problem.descent(stack, signal)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -429,7 +429,7 @@ def test_line_search_zero_direction():
     L = random_loading(rng, 4, 2)
     step = _step(problem, L.matrix[None], np.zeros((1, 4, 2)), np.array([1.0]))
     assert step.eta[0] == 0.0 and np.array_equal(step.loadings[0], L.matrix) and step.objectives[0] == 1.0
-    assert not step.moved[0] and not step.priced[0] and np.isnan(step.errors[0]).all()
+    assert not step.moved[0] and np.isnan(step.errors[0]).all()
 
 
 def test_grid_step_matches_line_search():
@@ -569,11 +569,29 @@ def test_fit_reports_nonconvergence_without_raising():
 @pytest.mark.parametrize(
     "field,value",
     [("penalty", np.nan), ("penalty", np.inf), ("penalty", -1.0),
-     ("convergence_epsilon", np.nan), ("convergence_epsilon", np.inf), ("convergence_epsilon", 0.0)],
+     ("convergence_epsilon", np.nan), ("convergence_epsilon", np.inf), ("convergence_epsilon", 0.0),
+     ("seed", -1), ("seed", 1.5), ("seed", "3")],
 )
 def test_options_reject_non_finite_and_out_of_range_values(field, value):
-    with pytest.raises(ValueError, match="penalty" if field == "penalty" else "epsilon"):
+    with pytest.raises(ValueError, match=field.split("_")[-1]):
         OptimizerOptions(**{field: value})
+
+
+@pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0])
+def test_objective_and_gradient_check_penalty_as_options_do(penalty):
+    data = random_instance(np.random.default_rng(30))
+    L = random_loading(np.random.default_rng(31), 6, 1)
+    for fn in (fair_decision_objective, fair_decision_gradient):
+        with pytest.raises(ValueError, match="penalty must be finite and non-negative"):
+            fn(data, L, penalty, identity_transform())
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_fit_on_zero_panels_stops_without_pricing_a_grid(restarts):
+    # every gradient is zero, so the first step prices no grid and stays
+    data = panel_pair(np.zeros((4, 5)), np.zeros((3, 5)))
+    fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=1.0, restarts=restarts))
+    assert fit.stop_reason == "no_descent" and fit.iterations == 1 and fit.evaluations == 1
 
 
 def test_capped_fit_reports_its_stop_and_diagnostics():
@@ -591,7 +609,7 @@ def test_capped_fit_reports_its_stop_and_diagnostics():
 @pytest.mark.parametrize(
     "seed, penalty, epsilon, cap, reason, iterations",
     [
-        (5, 1.0, 1e-14, 2000, "stagnation", 31),
+        (5, 1.0, 1e-14, 2000, "small_change", 38),
         (6, 10.0, 1e-14, 2000, "no_descent", 11),
         (1, 1.0, 1e-6, 2000, "small_change", None),
         (1, 1.0, 1e-6, 3, "max_iterations", 3),
