@@ -6,6 +6,7 @@ projectors; raw loadings are only sign-normalized for stable serialization.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,9 @@ __all__ = [
     "Loading",
     "FactorPath",
     "FitResult",
+    "FactorDual",
     "fit_pca",
+    "fair_factor_dual",
     "reconstruction_error",
     "group_errors",
     "unfairness",
@@ -28,6 +31,8 @@ FIT_SCHEMA_VERSION = 1
 
 _LOADING_ATOL = 1e-8
 _DEGENERACY_ATOL = 1e-10
+_DUAL_RTOL = 1e-12  # the dual stops once its loading is this close to its bound (relative)
+_DUAL_EVALUATIONS = 100  # eigensolves at most: some 50 bisections narrow the bracket to rounding
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,10 @@ class FitResult:
     stop_reason: str | None = None
     gradient_norm: float | None = None
     evaluations: int = 0
+    # two-group fits in trace form: the dual's lower bound on the objective and
+    # the final objective's relative distance above it; None for other fits, PCA and older files
+    lower_bound: float | None = None
+    certified_gap: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,6 +115,8 @@ class FitResult:
             "stop_reason": self.stop_reason,
             "gradient_norm": self.gradient_norm,
             "evaluations": self.evaluations,
+            "lower_bound": self.lower_bound,
+            "certified_gap": self.certified_gap,
             "iteration_log": [dict(rec) for rec in self.iteration_log],
         }
 
@@ -132,6 +143,8 @@ class FitResult:
             stop_reason=payload.get("stop_reason"),
             gradient_norm=payload.get("gradient_norm"),
             evaluations=int(payload.get("evaluations", 0)),
+            lower_bound=payload.get("lower_bound"),
+            certified_gap=payload.get("certified_gap"),
         )
 
 
@@ -206,3 +219,70 @@ def fit_pca(data: GroupedPanel, r: int) -> FitResult:
         groups=data.groups,
     )
 
+
+
+def _relative_gap(objective: float, lower_bound: float) -> float:
+    """How far an objective lies above a lower bound, relative to it; 0 when both are 0."""
+    return max(0.0, objective - lower_bound) / max(abs(objective), np.finfo(float).tiny)
+
+
+class FactorDual(NamedTuple):
+    loading: Loading
+    lower_bound: float
+
+
+def fair_factor_dual(data: GroupedPanel, r: int, penalty: float) -> FactorDual:
+    """Two-group fair-factor fit from the Lagrangian dual of the parity penalty.
+
+    Group errors are linear in P = L L^T / N. With S_k = Y_k^T Y_k / T_k,
+    w_k = T_k / T and c = (w_1 + mu, w_2 - mu), every multiplier mu bounds
+    the objective from below by the concave d(mu) = sum_k c_k tr S_k -
+    (top-r eigenvalue sum of sum_k c_k S_k) - mu^2 / (4 penalty), attained by
+    the top-r eigenvectors V. Safeguarded Newton on the supergradient
+    (e_1 - e_2)(V) - mu / (2 penalty), with d'' from the same
+    eigendecomposition, maximizes d; it bisects when a step leaves the
+    bracket or fails to halve the last one. At r = 1 the bound is tight
+    (Brickman 1961); when the top two eigenvalues tie at the maximizer, the
+    loading is solved for in their span. Returns the evaluated loading of
+    least objective and the largest bound. A zero penalty gives PCA.
+    """
+    if len(data.panels) != 2 or not 1 <= r <= data.n_ages:
+        raise ValueError(f"the dual takes two groups and r in [1, {data.n_ages}], got {len(data.panels)} and {r}")
+    N, w = data.n_ages, data.group_rows / data.total_rows
+    S = [p.y.T @ p.y / p.n_years for p in data.panels]
+    sq, D = np.array([np.trace(Sk) for Sk in S]), S[0] - S[1]
+    inv = 0.5 / penalty if penalty > 0.0 else 0.0  # mu / (2 penalty) per unit of mu; mu stays 0 unpenalized
+
+    def objective(V):
+        e = sq - [np.einsum("ij,ij->", V, Sk @ V) for Sk in S]
+        return float(w @ e) + penalty * (e[0] - e[1]) ** 2, e[0] - e[1]
+
+    lo, hi = -2.0 * penalty * sq[1], 2.0 * penalty * sq[0]  # the supergradient is >= 0 at lo, <= 0 at hi
+    mu, step, best, bound = 0.0, hi - lo, np.inf, -np.inf
+    for _ in range(_DUAL_EVALUATIONS):
+        values, vectors = top_r_eigs((w[0] + mu) * S[0] + (w[1] - mu) * S[1], N)
+        value, spread = objective(vectors[:, :r])
+        if value < best:
+            best, V = value, vectors[:, :r]
+        d = float((w + [mu, -mu]) @ sq - values[:r].sum()) - 0.5 * inv * mu * mu
+        if d > bound:
+            bound, peak = d, (mu, vectors[:, :2])
+        slope = spread - inv * mu
+        lo, hi = (mu, hi) if slope > 0.0 else (lo, mu)
+        if _relative_gap(best, bound) <= _DUAL_RTOL or hi - lo <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi)):
+            break
+        coupling, gaps = vectors[:, :r].T @ D @ vectors[:, r:], values[:r, None] - values[r:]
+        newton = mu + slope / (2.0 * (coupling**2 / np.where(gaps > 0.0, gaps, np.inf)).sum() + inv)
+        good = lo < newton < hi and abs(newton - mu) <= 0.5 * step
+        step, mu = (abs(newton - mu), newton) if good else (0.5 * (hi - lo), 0.5 * (lo + hi))
+    if r == 1 and N > 1 and _relative_gap(best, bound) > _DUAL_RTOL:
+        # near a tie the optimum mixes the top two eigenvectors Q: in the
+        # eigenbasis of D on their span, take the mixes u with a zero
+        # supergradient, u^T D u = tr S_1 - tr S_2 - mu / (2 penalty)
+        mu, Q = peak
+        m, R = np.linalg.eigh(Q.T @ D @ Q)
+        a = np.sqrt(np.clip((sq[0] - sq[1] - inv * mu - m[0]) / (m[1] - m[0]), 0.0, 1.0)) if m[1] > m[0] else 1.0
+        for u in (Q @ R @ [b, a] for b in (np.sqrt(1.0 - a * a), -np.sqrt(1.0 - a * a))):
+            if (value := objective(u[:, None])[0]) < best:
+                best, V = value, u[:, None]
+    return FactorDual(Loading(fix_column_signs(np.sqrt(N) * V)), bound)

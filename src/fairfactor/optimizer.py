@@ -30,6 +30,8 @@ from .factor import (
     FactorPath,
     FitResult,
     Loading,
+    _relative_gap,
+    fair_factor_dual,
     fit_pca,
     fix_column_signs,
     pairwise_unfairness,
@@ -61,6 +63,7 @@ _STEP_GRID = np.geomspace(1e-6, 10.0, 25)  # step sizes, in units of ||L||_F / |
 _IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
 _TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
 _CHUNK_BYTES = 1 << 18  # bytes of the (total_rows, N) reconstructions one factor _pass holds
+_CERTIFIED_GAP = 1e-9  # a start this close above the dual's bound (relative) is optimal: no restarts
 
 
 def _check_penalty(penalty: float) -> None:
@@ -540,13 +543,23 @@ def _pgd(problem, stack: np.ndarray, opts: OptimizerOptions) -> list[_RunState]:
     return runs
 
 
+def _dual_start(data: GroupedPanel, r: int, problem):
+    """The dual's loading and bound for two groups in trace form; None for other fits, which start at PCA."""
+    if isinstance(problem, _FactorProblem) and len(problem.rows) == 2:
+        return fair_factor_dual(data, r, problem.penalty)
+
+
 def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransform) -> FitResult:
     N = data.n_ages
     if not 1 <= r <= min(N, data.total_rows):
         raise ValueError(f"r={r} out of range [1, {min(N, data.total_rows)}]")
     problem = _problem(data, g, opts.penalty)
     pca = fit_pca(data, r)
-    starts = [pca.loading]
+    dual = _dual_start(data, r, problem)
+    starts = [pca.loading if dual is None else dual.loading]
+    if dual is not None and _relative_gap(problem.objective(starts[0]), dual.lower_bound) <= _CERTIFIED_GAP:
+        # an optimal start draws no restarts, and its one step counts as a small change whatever its size
+        opts = replace(opts, restarts=1, convergence_epsilon=np.finfo(float).max)
     if opts.restarts > 1:  # a single-start fit draws nothing, so it never loads numpy.random
         rng = np.random.default_rng(opts.seed)
         starts += [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
@@ -577,21 +590,26 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
         stop_reason=best.stop_reason,
         gradient_norm=gradient_norm,
         evaluations=best.evaluations,
+        lower_bound=None if dual is None else dual.lower_bound,
+        certified_gap=None if dual is None else _relative_gap(best.objective, dual.lower_bound),
     )
 
 
 def fit_fair_factor(data: GroupedPanel, r: int, opts: OptimizerOptions) -> FitResult:
     """Projected gradient descent on the fair-factor objective.
 
-    Starts at the principal-components solution plus restarts-1 random draws
-    and keeps the best final objective. The restarts advance together, one
-    batch of kernel calls per iteration, and each takes exactly the steps it
-    would take alone; `evaluations` counts the kept run's candidates only.
-    A run stops when the relative change
-    of the reconstruction Y L L^T / N drops below convergence_epsilon
-    (stop_reason "small_change"), when no grid step improves the objective
-    ("no_descent"), or at max_iterations ("max_iterations", the only one
-    with converged=False).
+    Two groups start at the dual's loading (factor.fair_factor_dual) and
+    report its lower_bound and the final objective's certified_gap above it;
+    a start within 1e-9 of the bound is optimal, draws no restarts and stops
+    after one step. More groups start at the principal-components solution
+    (both fields None). Then restarts-1 random draws follow; the starts
+    advance together, one batch of kernel calls per iteration, each taking
+    exactly the steps it would take alone. The best final objective is kept;
+    `evaluations` counts the kept run's candidates only. A run stops when
+    the relative change of the reconstruction Y L L^T / N drops below
+    convergence_epsilon (stop_reason "small_change"), when no grid step
+    improves the objective ("no_descent"), or at max_iterations
+    ("max_iterations", the only one with converged=False).
     """
     return _fit(data, r, opts, identity_transform())
 
@@ -606,6 +624,7 @@ def fit_fair_decision(
     stopping rule tracks the relative change of g applied to reconstructions.
     The returned group_errors are the exact per-group decision errors, also
     when the annuity fit optimizes the taylor surrogate. With g = identity
-    this is the fair-factor fit.
+    this is the fair-factor fit, dual start included; other transforms
+    start at the principal-components solution.
     """
     return _fit(data, r, opts, g)

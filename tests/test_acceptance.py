@@ -245,6 +245,7 @@ def test_criterion_4_optimization_contract():
     start = time.time()
     wins = 0
     monotone = True
+    certified = 0  # fits certified optimal: within 1e-9 (relative) of the dual's lower bound
     for seed in range(21):
         data, _ = synthesize(N=40, r=1, group_sizes=[60, 60], noise_scales=[2.0, 1.0], seed=seed)
         fit0 = fit_fair_factor(data, 1, OptimizerOptions(penalty=0.0, restarts=20, seed=seed))
@@ -252,18 +253,22 @@ def test_criterion_4_optimization_contract():
         for fit in (fit0, fit10):
             diffs = np.diff(np.array(fit.objective_trace))
             monotone = monotone and bool(np.all(diffs <= 1e-12))
+            final = fit.objective_trace[-1]
+            certified += fit.certified_gap <= 1e-9 and abs(final - fit.lower_bound) <= 1e-9 * final
         if fit10.unfairness < fit0.unfairness:
             wins += 1
     elapsed = time.time() - start
-    ok = monotone and wins >= 19 and elapsed < 120.0
+    ok = monotone and wins >= 19 and certified == 42 and elapsed < 120.0
     report(
         4,
-        f"traces monotone: {monotone}; penalty lowered unfairness in {wins}/21 seeds (>=19)",
+        f"traces monotone: {monotone}; penalty lowered unfairness in {wins}/21 seeds (>=19); "
+        f"{certified}/42 fits within 1e-9 of their lower bound",
         ok,
         elapsed,
     )
     assert monotone
     assert wins >= 19
+    assert certified == 42
     assert elapsed < 120.0
 
 

@@ -321,17 +321,24 @@ def loaded():
     return [name for name in ("numpy.random", "numpy.ma") if name in sys.modules and name not in eager]
 
 seen = {"import": loaded()}
-for command in ("cv", "fit"):
-    args = ["--config", sys.argv[1], "--set", "restarts=1", "--jobs", "1", "--out", sys.argv[2] + command]
-    seen[command] = [cli.main([command, *args])]
-    seen[command] += loaded()
+runs = {
+    "cv": ["cv", "--set", "restarts=1"],
+    "fit": ["fit", "--set", "restarts=1"],
+    # a certified two-group fair-factor fit draws none of its restarts
+    "fair-factor": ["fit", "--set", "model=fair-factor", "--set", "lambda=11", "--set", "restarts=5"],
+}
+for name, (command, *settings) in runs.items():
+    args = ["--config", sys.argv[1], *settings, "--jobs", "1", "--out", sys.argv[2] + name]
+    seen[name] = [cli.main([command, *args])]
+    seen[name] += loaded()
 print(json.dumps(seen))
 """
 
 
 def test_single_start_runs_import_neither_numpy_random_nor_numpy_ma(tmp_path, hmd_file):
     # a fresh interpreter, since this one has imported both long ago: a fit
-    # with one start draws nothing, and contiguous folds need no generator
+    # with one start draws nothing, nor does a certified fair-factor fit,
+    # and contiguous folds need no generator
     cfg = write_cfg(
         tmp_path,
         f"data={hmd_file}\nmodel=fair-decision\ncv_lambdas=0,2\ncv_folds=3\nmax_iterations=5\n",
@@ -342,7 +349,7 @@ def test_single_start_runs_import_neither_numpy_random_nor_numpy_ma(tmp_path, hm
         [sys.executable, "-c", LEAN_RUN, str(cfg), str(tmp_path / "o_")],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(done.stdout) == {"import": [], "cv": [0], "fit": [0]}
+    assert json.loads(done.stdout) == {"import": [], "cv": [0], "fit": [0], "fair-factor": [0]}
 
 
 def test_artifact_writer_leaves_no_partial_file(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from conftest import hmd_text
 
 from fairfactor import optimizer
 from fairfactor.dataset import GroupedPanel, Panel, build_panel, parse_hmd_1x1, split_train_test, synthesize
-from fairfactor.factor import Loading, fit_pca, group_errors, pairwise_unfairness, reconstruction_error
+from fairfactor.factor import (
+    Loading,
+    fair_factor_dual,
+    fit_pca,
+    group_errors,
+    pairwise_unfairness,
+    reconstruction_error,
+)
 from fairfactor.linalg import nearest_orthonormal, principal_angle
 from fairfactor.optimizer import (
     _STEP_GRID,
@@ -541,8 +549,7 @@ def test_fit_fair_decision_annuity_narrows_gap():
 
 
 def test_penalty_monotonicity_over_grid():
-    # nonconvex objective: with 20 restarts this holds statistically, so a
-    # couple of violating seeds are tolerated and reported
+    # exact two-group optima are monotone in the penalty: no seed may violate it
     grid = [0.0, 0.1, 1.0, 10.0]
     violations = []
     for seed in range(21):
@@ -554,7 +561,95 @@ def test_penalty_monotonicity_over_grid():
         drops = np.diff(values)
         if np.any(drops > 1e-9):
             violations.append((seed, values))
-    assert len(violations) <= 2, f"unfairness not non-increasing in the penalty: {violations}"
+    assert not violations, f"unfairness not non-increasing in the penalty: {violations}"
+
+
+# ----------------------------------------------------------- dual certificate
+
+
+def test_lambda_zero_fit_is_pca_with_zero_gap():
+    for r, seed in ((1, 0), (2, 1), (3, 2)):
+        data, _ = synthesize(N=12, r=r, group_sizes=[20, 15], noise_scales=[2.0, 1.0], seed=seed)
+        pca = fit_pca(data, r)
+        fit = fit_fair_factor(data, r, OptimizerOptions(penalty=0.0, restarts=5))
+        assert np.abs(fit.loading.projector() - pca.loading.projector()).max() <= 1e-12
+        # the bound is the PCA objective, up to the rounding of its two forms
+        assert fit.lower_bound == pytest.approx(pca.objective_trace[0], rel=1e-13)
+        assert fit.certified_gap <= 1e-13 and fit.iterations == 1
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_dual_bound_holds_at_higher_rank(r, monkeypatch):
+    # the bound lies below the certified fit and below the grid's restarts from PCA
+    panels = [synthesize(N=16, r=r, group_sizes=[30, 25], noise_scales=[2.0, 1.0], seed=seed)[0] for seed in range(4)]
+    opts = OptimizerOptions(penalty=10.0, restarts=4, max_iterations=200)
+    bounds = [fair_factor_dual(data, r, 10.0).lower_bound for data in panels]
+    for data, bound in zip(panels, bounds):
+        fit = fit_fair_factor(data, r, opts)
+        assert fit.lower_bound == bound and fit.objective_trace[-1] >= bound * (1 - 1e-12)
+    monkeypatch.setattr(optimizer, "_dual_start", lambda *args: None)
+    for data, bound in zip(panels, bounds):
+        assert fit_fair_factor(data, r, opts).objective_trace[-1] >= bound * (1 - 1e-12)
+
+
+def test_tied_eigenvalues_are_mixed_in_their_span():
+    # commuting (diagonal) Gram matrices: the dual's matrix keeps the axes as
+    # eigenvectors, its top two eigenvalues cross at the optimal multiplier,
+    # and the optimum mixes the first two axes
+    y1, y2 = np.array([3.0, 1.5, 0.5]), np.array([1.0, 2.0, 0.5])
+    data, penalty = panel_pair(np.diag(y1), np.diag(y2)), 50.0
+    dual = fair_factor_dual(data, 1, penalty)
+    fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=penalty))
+    v = dual.loading.matrix[:, 0] / np.sqrt(3)
+    assert min(abs(v[0]), abs(v[1])) > 0.1 and abs(v[2]) <= 1e-12
+    assert fit.certified_gap <= 1e-9 and fit.iterations == 1
+    theta, phi = np.meshgrid(np.linspace(0, np.pi / 2, 1001), np.linspace(0, np.pi / 2, 1001))
+    u2 = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]) ** 2
+    e1, e2 = (((y * y).sum() - np.tensordot(y * y, u2, 1)) / 3 for y in (y1, y2))
+    scan = float((0.5 * (e1 + e2) + penalty * (e1 - e2) ** 2).min())
+    objective = fair_factor_objective(data, dual.loading, penalty)
+    assert dual.lower_bound * (1 - 1e-12) <= objective <= dual.lower_bound * (1 + 1e-12)
+    assert objective <= scan * (1 + 1e-12) and fit.objective_trace[-1] <= scan * (1 + 1e-12)
+
+
+def test_fits_without_a_two_group_dual_keep_their_path():
+    # three groups and decision transforms take the PCA start and the
+    # restarts as before, and report no bound
+    data, _ = synthesize(N=8, r=1, group_sizes=[10, 12, 9], noise_scales=[1.5, 1.0, 0.5], seed=4)
+    opts = OptimizerOptions(penalty=3.0, restarts=3, seed=2, max_iterations=300)
+    fit = fit_fair_factor(data, 1, opts)
+    rng = np.random.default_rng(2)
+    stack = np.stack([fit_pca(data, 1).loading.matrix] + [random_loading(rng, 8, 1).matrix for _ in range(2)])
+    best = min(optimizer._pgd(_FactorProblem(data, 3.0), stack, opts), key=lambda run: run.objective)
+    assert fit.objective_trace == tuple(best.trace) and fit.iterations == best.iterations
+    assert (fit.lower_bound, fit.certified_gap) == (None, None)
+    annuity = annuity_panels(np.random.default_rng(5), T1=6, T2=6, N=5)
+    g = annuity_transform_for(annuity, term=3, discount=0.95)
+    decision = fit_fair_decision(annuity, 1, OptimizerOptions(penalty=1.0, restarts=1, max_iterations=5), g)
+    assert (decision.lower_bound, decision.certified_gap) == (None, None)
+
+
+def test_zero_panels_certify_a_zero_gap_without_warnings():
+    data = panel_pair(np.zeros((4, 5)), np.zeros((3, 5)))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=1.0, restarts=3))
+    assert (fit.lower_bound, fit.certified_gap, fit.iterations) == (0.0, 0.0, 1)
+
+
+def test_fair_factor_fit_is_continuous_in_the_data():
+    # a last-bit change of the paper-shape panel moves the certified fit by
+    # no more than the change itself
+    table = parse_hmd_1x1(hmd_text(years=(1921, 2019), ages=(0, 85), seed=1001))
+    panels = [build_panel(table, group, ages=(0, 85), years=(1921, 2019)) for group in ("male", "female")]
+    data = GroupedPanel(tuple(split_train_test(panel, 1989)[0] for panel in panels))
+    male = data.panels[0]
+    perturbed = Panel(male.group, male.years, male.ages, male.y * (1 + 1e-13), male.intercept)
+    scaled = GroupedPanel((perturbed, data.panels[1]))
+    opts = OptimizerOptions(penalty=11.0)
+    fits = [fit_fair_factor(d, 1, opts) for d in (data, scaled)]
+    assert all(fit.certified_gap <= 1e-9 for fit in fits)
+    assert np.abs(fits[0].loading.projector() - fits[1].loading.projector()).max() <= 1e-9
 
 
 def test_fit_reports_nonconvergence_without_raising():
@@ -586,8 +681,14 @@ def test_objective_and_gradient_check_penalty_as_options_do(penalty):
             fn(data, L, penalty, identity_transform())
 
 
+@pytest.fixture
+def pca_start(monkeypatch):
+    """Fits start at PCA, as fits without the dual's start do."""
+    monkeypatch.setattr(optimizer, "_dual_start", lambda *args: None)
+
+
 @pytest.mark.parametrize("restarts", [1, 3])
-def test_fit_on_zero_panels_stops_without_pricing_a_grid(restarts):
+def test_fit_on_zero_panels_stops_without_pricing_a_grid(restarts, pca_start):
     # every gradient is zero, so the first step prices no grid and stays
     data = panel_pair(np.zeros((4, 5)), np.zeros((3, 5)))
     fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=1.0, restarts=restarts))
@@ -615,7 +716,9 @@ def test_capped_fit_reports_its_stop_and_diagnostics():
         (1, 1.0, 1e-6, 3, "max_iterations", 3),
     ],
 )
-def test_fit_reports_gradient_and_evaluations_for_every_stop_reason(seed, penalty, epsilon, cap, reason, iterations):
+def test_fit_reports_gradient_and_evaluations_for_every_stop_reason(
+    seed, penalty, epsilon, cap, reason, iterations, pca_start
+):
     # the final gradient comes out of the fit's own last pass: it must be the
     # gradient at the returned loading, whichever rule stopped the run
     data, _ = synthesize(N=6, r=1, group_sizes=[8, 7], noise_scales=[1.0, 0.3], seed=seed)
@@ -629,7 +732,7 @@ def test_fit_reports_gradient_and_evaluations_for_every_stop_reason(seed, penalt
     assert fit.evaluations == 1 + len(_STEP_GRID) * priced
 
 
-def test_ascent_direction_stops_as_no_descent(monkeypatch):
+def test_ascent_direction_stops_as_no_descent(monkeypatch, pca_start):
     # a 0/1 panel with total Gram matrix diag(4, 2, 1, 0): the PCA start is
     # exactly 2 e_1; against the reversed gradient no grid step improves it
     data = panel_pair(
