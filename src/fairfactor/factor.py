@@ -246,8 +246,9 @@ def fair_factor_dual(data: GroupedPanel, r: int, penalty: float) -> FactorDual:
     loading is solved for in their span. Returns the evaluated loading of
     least objective and the largest bound. A zero penalty gives PCA.
     """
-    if len(data.panels) != 2 or not 1 <= r <= data.n_ages:
-        raise ValueError(f"the dual takes two groups and r in [1, {data.n_ages}], got {len(data.panels)} and {r}")
+    if len(data.panels) != 2 or not 1 <= r <= data.n_ages or not 0.0 <= penalty < np.inf:
+        raise ValueError(f"the dual takes two groups, r in [1, {data.n_ages}] and a finite penalty >= 0, "
+                         f"got {len(data.panels)}, {r} and {penalty}")
     N, w = data.n_ages, data.group_rows / data.total_rows
     S = [p.y.T @ p.y / p.n_years for p in data.panels]
     sq, D = np.array([np.trace(Sk) for Sk in S]), S[0] - S[1]

@@ -592,6 +592,15 @@ def test_dual_bound_holds_at_higher_rank(r, monkeypatch):
         assert fit_fair_factor(data, r, opts).objective_trace[-1] >= bound * (1 - 1e-12)
 
 
+@pytest.mark.parametrize(
+    "groups, r, penalty", [(3, 1, 1.0), (2, 0, 1.0), (2, 7, 1.0), (2, 1, -1.0), (2, 1, np.nan), (2, 1, np.inf)]
+)
+def test_dual_rejects_what_it_cannot_bound(groups, r, penalty):
+    data, _ = synthesize(N=6, r=1, group_sizes=[5] * groups, noise_scales=[1.0] * groups, seed=0)
+    with pytest.raises(ValueError, match="the dual takes two groups"):
+        fair_factor_dual(data, r, penalty)
+
+
 def test_tied_eigenvalues_are_mixed_in_their_span():
     # commuting (diagonal) Gram matrices: the dual's matrix keeps the axes as
     # eigenvectors, its top two eigenvalues cross at the optimal multiplier,
