@@ -5,6 +5,7 @@ the rank-r projector is loading @ loading.T / N. Fits are compared through
 projectors; raw loadings are only sign-normalized for stable serialization.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -196,8 +197,8 @@ def fit_pca(data: GroupedPanel, r: int) -> FitResult:
     """Principal-components fit: loading / sqrt(N) = top-r eigenvectors of Y^T Y."""
     Y = data.stacked()
     T, N = Y.shape
-    if not 1 <= r <= min(N, T):
-        raise ValueError(f"r={r} out of range [1, {min(N, T)}]")
+    if not (isinstance(r, numbers.Integral) and 1 <= r <= min(N, T)):
+        raise ValueError(f"r must be an integer in [1, {min(N, T)}], got {r!r}")
     S = Y.T @ Y
     probe = min(r + 1, N)
     values, vectors = top_r_eigs(S, probe)
@@ -246,9 +247,10 @@ def fair_factor_dual(data: GroupedPanel, r: int, penalty: float) -> FactorDual:
     loading is solved for in their span. Returns the evaluated loading of
     least objective and the largest bound. A zero penalty gives PCA.
     """
-    if len(data.panels) != 2 or not 1 <= r <= data.n_ages or not 0.0 <= penalty < np.inf:
-        raise ValueError(f"the dual takes two groups, r in [1, {data.n_ages}] and a finite penalty >= 0, "
-                         f"got {len(data.panels)}, {r} and {penalty}")
+    rank_ok = isinstance(r, numbers.Integral) and 1 <= r <= data.n_ages
+    if len(data.panels) != 2 or not rank_ok or not 0.0 <= penalty < np.inf:
+        raise ValueError(f"the dual takes two groups, an integer r in [1, {data.n_ages}] and a finite "
+                         f"penalty >= 0, got {len(data.panels)}, {r!r} and {penalty}")
     N, w = data.n_ages, data.group_rows / data.total_rows
     S = [p.y.T @ p.y / p.n_years for p in data.panels]
     sq, D = np.array([np.trace(Sk) for Sk in S]), S[0] - S[1]

@@ -21,7 +21,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .transforms import (
     decision_errors,
     epv_matrix,
     epv_weight_bands,
-    epv_width,
     identity_transform,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
 _STEP_GRID = np.geomspace(1e-6, 10.0, 25)  # step sizes, in units of ||L||_F / ||grad||_F
 _IMPROVEMENT_TOL = 1e-12  # a step may never lose more than this
 _TILE = 16  # rows of the annuity weight matrices per dense tile (_weight_tiles)
-_CHUNK_BYTES = 1 << 18  # bytes of the (total_rows, N) reconstructions one factor _pass holds
 _CERTIFIED_GAP = 1e-9  # a start this close above the dual's bound (relative) is optimal: no restarts
 
 
@@ -83,10 +81,10 @@ class OptimizerOptions:
         _check_penalty(self.penalty)
         if not (math.isfinite(self.convergence_epsilon) and self.convergence_epsilon > 0.0):
             raise ValueError(f"convergence epsilon must be finite and positive, got {self.convergence_epsilon}")
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ValueError("max_iterations and restarts must be at least 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, least in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def random_loading(rng: "np.random.Generator", n: int, r: int) -> Loading:
@@ -116,26 +114,12 @@ def _penalized_gradient(
     return out
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every item of a stack. Each is one dot product of
-    the flattened item, the same one np.linalg.norm takes, to the bit."""
-    flat = stack.reshape(len(stack), 1, math.prod(stack.shape[1:]))
-    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
-
-
 class _Problem:
-    """Penalized objective and gradients from a subclass's per-group errors:
+    """Penalized objective and gradient from a subclass's per-group errors:
     errors_batch for a (B, N, r) stack of candidates, and _pass for a
-    (R, N, r) stack of iterates, which gives their group errors, group
-    gradients and (R, *signal_shape) stop signals in one go.
-
-    A loading's result does not depend on the rest of its stack, to the bit:
-    the kernels take one matrix product per loading (np.matmul over the
-    stack), or rows of one product over many candidates, whose rounding
-    does not depend on how many rows it has.
+    (1, N, r) stack holding one iterate, which gives its group errors, group
+    gradients and stop signal in one go.
     """
-
-    chunk = 1  # loadings per _pass: a decision pass takes one at a time
 
     def __init__(self, data: GroupedPanel, penalty: float):
         self.penalty = penalty
@@ -146,29 +130,10 @@ class _Problem:
     def objective(self, loading: Loading) -> float:
         return _combine(self.errors_batch(loading.matrix[None])[0], self.rows, self.total_rows, self.penalty)
 
-    def descent(self, stack: np.ndarray, signal: np.ndarray):
-        """The (R, N, r) penalized gradients of a (R, N, r) stack of loadings
-        and the relative change of their stop signals from `signal`,
-        self.chunk loadings per _pass. The new signals overwrite `signal`
-        in place."""
-        errors = np.empty((len(stack), len(self.rows)))
-        grads = [np.empty_like(stack) for _ in self.rows]
-        change = np.empty(len(stack))
-        for lo in range(0, len(stack), self.chunk):
-            part = slice(lo, lo + self.chunk)
-            errors[part], parts, new = self._pass(stack[part])
-            for k, grad in enumerate(parts):
-                grads[k][part] = grad
-            old = _norms(signal[part])
-            diff = _norms(np.subtract(new, signal[part], out=signal[part]))
-            change[part] = np.where(diff == 0.0, 0.0, diff / np.maximum(old, 1e-300))
-            signal[part] = new
-        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty), change
-
-    def gradients(self, stack: np.ndarray) -> np.ndarray:
-        """(R, N, r) penalized gradients of a (R, N, r) stack of loadings, in one _pass."""
-        errors, grads, _ = self._pass(stack)
-        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
+    def descent(self, M: np.ndarray):
+        """The (N, r) penalized gradient of an (N, r) loading and its stop signal, from one _pass."""
+        errors, grads, signal = self._pass(M[None])
+        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)[0], signal
 
 
 class _FactorProblem(_Problem):
@@ -176,11 +141,9 @@ class _FactorProblem(_Problem):
 
     def __init__(self, data: GroupedPanel, penalty: float):
         super().__init__(data, penalty)
-        self.chunk = max(1, _CHUNK_BYTES // (8 * self.total_rows * self.N))
         self.grams = [p.y.T @ p.y for p in data.panels]
         self.sq = [float((p.y**2).sum()) for p in data.panels]
         self.Y = data.stacked()
-        self.signal_shape = self.Y.shape  # the reconstruction Y L L^T / N
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
         B, N, r = stack.shape
@@ -194,6 +157,7 @@ class _FactorProblem(_Problem):
         return out
 
     def _pass(self, stack: np.ndarray):
+        """The stop signals are the reconstructions Y L L^T / N."""
         products = [np.matmul(gram, stack) for gram in self.grams]
         quads = [(stack * GM).sum(axis=(1, 2)) for GM in products]
         errors = np.stack([(sq - q / self.N) / t for sq, q, t in zip(self.sq, quads, self.rows)], axis=1)
@@ -257,14 +221,12 @@ class _DecisionProblem(_Problem):
         self.groups = data.groups
         self.ys = [p.y for p in data.panels]
         self.taylor = g.kind == "annuity" and g.annuity_mode == "taylor"
-        # the stop signal, g of the reconstruction
-        self.signal_shape = (self.total_rows, epv_width(self.N, g.term) if g.kind == "annuity" else self.N)
         if g.kind == "annuity":
             self.intercepts = [g.intercept_for(p.group) for p in data.panels]
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
             self.tiles = [list(_weight_tiles(m, g.term, g.discount)) for m in self.m_obs]
-            size = max(self.rows) * len(_STEP_GRID)  # the largest group and chunk of _errors_chunk
+            size = max(self.rows) * len(_STEP_GRID)  # the largest group and batch of errors_batch
             self._rates, self._tile = np.empty(size * self.N), np.empty(size * _TILE)  # its flat workspace
         else:
             self.g_ys = [apply_transform(g, group, y) for group, y in zip(self.groups, self.ys)]
@@ -293,17 +255,12 @@ class _DecisionProblem(_Problem):
         return error, np.where(inside, m_recon, 0.0) * u, priced
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
-        """Prices the stack len(_STEP_GRID) candidates at a time, so its
-        memory does not grow with the number of restarts."""
-        G = len(_STEP_GRID)
-        return np.concatenate([self._errors_chunk(stack[lo : lo + G]) for lo in range(0, len(stack), G)])
-
-    def _errors_chunk(self, stack: np.ndarray) -> np.ndarray:
-        """In taylor mode the reconstructions are laid out row by row,
-        (T, B, N), so that each row's W_t weighs all candidates in one
-        matrix product. They are written into the problem's workspace, laid
-        out as a fresh (T, B, N) array would be, and weighed one tile at a
-        time, so a step allocates no (T, B, N) array.
+        """Group errors of at most len(_STEP_GRID) candidates. In taylor mode
+        the reconstructions are laid out row by row, (T, B, N), so that each
+        row's W_t weighs all candidates in one matrix product. They are
+        written into the problem's workspace, laid out as a fresh (T, B, N)
+        array would be, and weighed one tile at a time, so a step allocates
+        no (T, B, N) array.
         """
         B = stack.shape[0]
         out = np.empty((B, len(self.ys)))
@@ -397,7 +354,7 @@ def fair_decision_gradient(
     mode) or evaluated at the reconstruction (exact mode).
     """
     _check_penalty(penalty)
-    return _problem(data, g, penalty).gradients(loading.matrix[None])[0]
+    return _problem(data, g, penalty).descent(loading.matrix)[0]
 
 
 def _scaled_polar(stack: np.ndarray):
@@ -417,62 +374,44 @@ def _scaled_polar(stack: np.ndarray):
     return np.sqrt(n) * np.einsum("bij,bjk->bik", u, vt), valid
 
 
-class _Steps(NamedTuple):
-    """One grid step of every loading of a stack."""
+def _step(problem, M: np.ndarray, grad: np.ndarray, current: float):
+    """Exact search along -grad over _STEP_GRID from an (N, r) loading, with
+    the scaled polar projection: all len(_STEP_GRID) candidates are
+    projected at once (_scaled_polar) and priced with one errors_batch call.
 
-    eta: np.ndarray  # (R,) step sizes; 0 where the loading stays
-    loadings: np.ndarray  # (R, N, r) next iterates
-    objectives: np.ndarray  # (R,) their objectives
-    errors: np.ndarray  # (R, K) their group errors; NaN where the loading stays
-    moved: np.ndarray  # (R,) whether the loading took a step
-
-
-def _step(problem, stack: np.ndarray, grads: np.ndarray, current: np.ndarray) -> _Steps:
-    """Exact search along -grad over _STEP_GRID for every loading of a
-    (R, N, r) stack, with the scaled polar projection.
-
-    Projects all R x len(_STEP_GRID) candidates at once (_scaled_polar) and
-    prices them with one errors_batch call. A loading stays, with step 0,
-    when its gradient is zero or every step loses more than _IMPROVEMENT_TOL
-    against its current objective.
+    Returns (step size, next loading, its objective, its (K,) group errors,
+    moved). The loading stays, with step 0, the current objective and NaN
+    errors, when its gradient is zero or every step loses more than
+    _IMPROVEMENT_TOL against the current objective.
     """
-    R, N, r = stack.shape
-    gnorm = _norms(grads)
-    priced = gnorm != 0.0  # a zero gradient's grid (the loading itself) is priced but never taken
-    etas = _STEP_GRID * (_norms(stack) / np.where(priced, gnorm, 1.0))[:, None]
-    candidates = stack[:, None] - etas[:, :, None, None] * grads[:, None]
-    projected, valid = _scaled_polar(candidates.reshape(-1, N, r))
-    valid = valid.reshape(etas.shape) & priced[:, None]
-    if not valid.any(axis=1)[priced].all():
-        # unreachable for finite input: the smallest step keeps
-        # sigma_min >= sqrt(N) (1 - 1e-6 sqrt(r)) > 0
-        raise FloatingPointError("every grid step is rank-deficient")
-    batch_errors = problem.errors_batch(projected)
-    values = _combine(batch_errors, problem.rows, problem.total_rows, problem.penalty).reshape(etas.shape)
-    values = np.where(valid & np.isfinite(values), values, np.inf)
-    rows, best = np.arange(R), np.argmin(values, axis=1)
-    pick, value = rows * len(_STEP_GRID) + best, values[rows, best]
-    moved = priced & ~(value > current + _IMPROVEMENT_TOL)
-    return _Steps(
-        np.where(moved, etas[rows, best], 0.0),
-        np.where(moved[:, None, None], projected[pick], stack),
-        np.where(moved, value, current),
-        np.where(moved[:, None], batch_errors[pick], np.nan),
-        moved,
-    )
+    gnorm = np.linalg.norm(grad)
+    if gnorm != 0.0:  # a zero gradient's grid would hold the loading itself: price nothing
+        etas = _STEP_GRID * (np.linalg.norm(M) / gnorm)
+        projected, valid = _scaled_polar(M - etas[:, None, None] * grad)
+        if not valid.any():
+            # unreachable for finite input: the smallest step keeps
+            # sigma_min >= sqrt(N) (1 - 1e-6 sqrt(r)) > 0
+            raise FloatingPointError("every grid step is rank-deficient")
+        errors = problem.errors_batch(projected)
+        values = _combine(errors, problem.rows, problem.total_rows, problem.penalty)
+        values = np.where(valid & np.isfinite(values), values, np.inf)
+        best = int(np.argmin(values))
+        value = float(values[best])
+        if not value - current > _IMPROVEMENT_TOL:  # the loss itself: current + tol can round up
+            return float(etas[best]), projected[best], value, errors[best], True
+    return 0.0, M, current, np.full(len(problem.rows), np.nan), False
 
 
 @dataclass
 class _RunState:
-    """One run's history, in flat arrays of doubles: every run of a
-    lockstep keeps its own until the fit picks the best."""
+    """One start's run, its history in flat arrays of doubles, until the fit
+    keeps the run of lowest objective."""
 
     matrix: np.ndarray  # (N, r) loading, the final one once the run stops
     trace: array  # objective at the start and after every iteration
     steps: array = field(default_factory=lambda: array("d"))  # step size per iteration; 0 where it stayed
     errors: array = field(default_factory=lambda: array("d"))  # K group errors per iteration
     stop_reason: str = "max_iterations"
-    evaluations: int = 1  # candidate loadings priced, the start included
     gradient: np.ndarray | None = None  # (N, r) penalized gradient at the final loading
 
     @property
@@ -488,6 +427,13 @@ class _RunState:
         return self.stop_reason != "max_iterations"
 
     @property
+    def evaluations(self) -> int:
+        """Candidate loadings priced, the start included: one grid per
+        iteration, but none in a last step from a zero gradient."""
+        unpriced = self.stop_reason == "no_descent" and not self.gradient.any()
+        return 1 + len(_STEP_GRID) * (self.iterations - unpriced)
+
+    @property
     def log(self) -> list[dict]:
         errors = np.frombuffer(self.errors).reshape(self.iterations, -1)
         return [
@@ -496,51 +442,38 @@ class _RunState:
         ]
 
 
-def _pgd(problem, stack: np.ndarray, opts: OptimizerOptions) -> list[_RunState]:
-    """Projected gradient descent from every start of a (R, N, r) stack.
+def _descend(problem, M: np.ndarray, opts: OptimizerOptions) -> _RunState:
+    """Projected gradient descent from one (N, r) start.
 
-    The runs advance in lockstep. Each iteration first decides which runs
-    stop, then takes one batched grid step for the rest and one batched
-    pass for the gradients and stop signals at their new loadings; a run
-    leaves the batch when it stops. The kernels price each loading by
-    itself, so every run takes exactly the steps it would take alone.
+    Each iteration takes one grid step (_step), then one pass at the new
+    loading gives its gradient and stop signal. The run stops when no grid
+    step improves the objective ("no_descent"), when the stop signal's
+    relative change is at most convergence_epsilon ("small_change"), or
+    after max_iterations ("max_iterations").
     """
-    G, R = len(_STEP_GRID), len(stack)
-    errors = np.array([problem.errors_batch(M[None])[0] for M in stack])  # each start alone
-    starts = [_combine(e, problem.rows, problem.total_rows, problem.penalty) for e in errors]
-    runs = [_RunState(M, array("d", [obj])) for M, obj in zip(stack, starts)]
-    running = list(runs)  # in the order of the arrays below
-    current, objective = stack, np.array(starts)
-    signal = np.zeros((R,) + problem.signal_shape)
-    grads = problem.descent(current, signal)[0]  # the starts' signals fill the buffer
-    change, moved = np.full(R, np.inf), np.ones(R, dtype=bool)
-    for iteration in range(opts.max_iterations + 1):
-        small = change <= opts.convergence_epsilon
-        stop = ~moved | small | (iteration == opts.max_iterations)
-        if stop.any():
-            for i in np.flatnonzero(stop):
-                run = running[i]
-                run.stop_reason = (
-                    "no_descent" if not moved[i] else "small_change" if small[i] else "max_iterations"
-                )
-                run.matrix, run.gradient = current[i], grads[i]
-                # a run that stayed at a zero gradient searched no grid in its last step
-                run.evaluations = 1 + G * (iteration - (not moved[i] and not grads[i].any()))
-            keep = ~stop
-            running = [run for run, k in zip(running, keep) if k]
-            if not running:
-                break
-            current, objective, errors, grads = current[keep], objective[keep], errors[keep], grads[keep]
-            signal = signal[keep]
-        step = _step(problem, current, grads, objective)
-        errors = np.where(step.moved[:, None], step.errors, errors)
-        current, objective, moved = step.loadings, step.objectives, step.moved
-        for run, obj, eta, e in zip(running, objective.tolist(), step.eta.tolist(), errors.tolist()):
-            run.trace.append(obj)
-            run.steps.append(eta)
-            run.errors.extend(e)
-        grads, change = problem.descent(current, signal)
-    return runs
+    errors = problem.errors_batch(M[None])[0]
+    objective = float(_combine(errors, problem.rows, problem.total_rows, problem.penalty))
+    run = _RunState(M, array("d", [objective]))
+    grad, signal = problem.descent(M)
+    for _ in range(opts.max_iterations):
+        eta, M, objective, step_errors, moved = _step(problem, M, grad, objective)
+        if moved:
+            errors = step_errors
+        run.trace.append(objective)
+        run.steps.append(eta)
+        run.errors.extend(errors)
+        if not moved:
+            run.stop_reason = "no_descent"
+            break
+        grad, new = problem.descent(M)
+        diff = np.linalg.norm(new - signal)
+        change = 0.0 if diff == 0.0 else diff / max(np.linalg.norm(signal), 1e-300)
+        signal = new
+        if change <= opts.convergence_epsilon:
+            run.stop_reason = "small_change"
+            break
+    run.matrix, run.gradient = M, grad
+    return run
 
 
 def _dual_start(data: GroupedPanel, r: int, problem):
@@ -551,10 +484,8 @@ def _dual_start(data: GroupedPanel, r: int, problem):
 
 def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransform) -> FitResult:
     N = data.n_ages
-    if not 1 <= r <= min(N, data.total_rows):
-        raise ValueError(f"r={r} out of range [1, {min(N, data.total_rows)}]")
+    pca = fit_pca(data, r)  # checks r
     problem = _problem(data, g, opts.penalty)
-    pca = fit_pca(data, r)
     dual = _dual_start(data, r, problem)
     starts = [pca.loading if dual is None else dual.loading]
     if dual is not None and _relative_gap(problem.objective(starts[0]), dual.lower_bound) <= _CERTIFIED_GAP:
@@ -563,7 +494,7 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
     if opts.restarts > 1:  # a single-start fit draws nothing, so it never loads numpy.random
         rng = np.random.default_rng(opts.seed)
         starts += [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
-    runs = _pgd(problem, np.stack([start.matrix for start in starts]), opts)
+    runs = [_descend(problem, start.matrix, opts) for start in starts]
     best = min(runs, key=lambda run: run.objective)  # the first of the lowest
     M, grad = best.matrix, best.gradient
     gradient_norm = float(np.linalg.norm(grad - M @ (M.T @ grad) / N))  # Riemannian: tangent part
@@ -602,14 +533,14 @@ def fit_fair_factor(data: GroupedPanel, r: int, opts: OptimizerOptions) -> FitRe
     report its lower_bound and the final objective's certified_gap above it;
     a start within 1e-9 of the bound is optimal, draws no restarts and stops
     after one step. More groups start at the principal-components solution
-    (both fields None). Then restarts-1 random draws follow; the starts
-    advance together, one batch of kernel calls per iteration, each taking
-    exactly the steps it would take alone. The best final objective is kept;
-    `evaluations` counts the kept run's candidates only. A run stops when
-    the relative change of the reconstruction Y L L^T / N drops below
-    convergence_epsilon (stop_reason "small_change"), when no grid step
-    improves the objective ("no_descent"), or at max_iterations
-    ("max_iterations", the only one with converged=False).
+    (both fields None). Then restarts-1 random draws follow. The starts
+    descend one after another, each on its own, and the first run of the
+    lowest final objective is kept; `evaluations` counts the kept run's
+    candidates only. A run stops when the relative change of the
+    reconstruction Y L L^T / N drops below convergence_epsilon
+    (stop_reason "small_change"), when no grid step improves the objective
+    ("no_descent"), or at max_iterations ("max_iterations", the only one
+    with converged=False).
     """
     return _fit(data, r, opts, identity_transform())
 
@@ -620,9 +551,8 @@ def fit_fair_decision(
     """Projected gradient descent on the fair-decision objective.
 
     Same scheme as the fair-factor fit with the transform-aware gradient,
-    restarts advancing together and each taking its own steps; the
-    stopping rule tracks the relative change of g applied to reconstructions.
-    The returned group_errors are the exact per-group decision errors, also
+    one start at a time; the stopping rule tracks the relative change of g
+    applied to reconstructions. The returned group_errors are the exact per-group decision errors, also
     when the annuity fit optimizes the taylor surrogate. With g = identity
     this is the fair-factor fit, dual start included; other transforms
     start at the principal-components solution.

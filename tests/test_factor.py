@@ -49,6 +49,14 @@ def test_fit_pca_overflowing_panel_raises():
         fit_pca(huge, 1)
 
 
+@pytest.mark.parametrize("r", [0, 9, 1.5, 2.0])
+def test_fit_pca_and_fair_fits_reject_a_rank_that_is_not_an_integer_in_range(r):
+    data, _ = synthesize(N=8, r=1, group_sizes=[6, 6], noise_scales=[1.0, 1.0], seed=2)
+    for fit in (fit_pca, lambda data, r: fit_fair_factor(data, r, OptimizerOptions(penalty=1.0))):
+        with pytest.raises(ValueError, match="r must be an integer in \\[1, 8\\]"):
+            fit(data, r)
+
+
 def test_fit_pca_exact_low_rank():
     data, _ = synthesize(N=8, r=1, group_sizes=[6, 6], noise_scales=[0.0, 0.0], seed=2)
     fit = fit_pca(data, 1)

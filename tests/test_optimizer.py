@@ -11,6 +11,7 @@ from fairfactor.factor import (
     Loading,
     fair_factor_dual,
     fit_pca,
+    fix_column_signs,
     group_errors,
     pairwise_unfairness,
     reconstruction_error,
@@ -355,12 +356,12 @@ def test_taylor_step_allocates_no_candidate_stack():
     rng = np.random.default_rng(18)
     data = annuity_panels(rng, T1=60, T2=60, N=80, spread=0.1)
     problem = _DecisionProblem(data, annuity_transform_for(data, term=10, discount=0.95), 2.0)
-    stack = random_loading(rng, 80, 1).matrix[None]
-    grads, current = problem.gradients(stack), np.array([problem.objective(Loading(stack[0]))])
-    _step(problem, stack, grads, current)
+    M = random_loading(rng, 80, 1).matrix
+    grad, current = problem.descent(M)[0], problem.objective(Loading(M))
+    _step(problem, M, grad, current)
     tracemalloc.start()
     try:
-        _step(problem, stack, grads, current)
+        _step(problem, M, grad, current)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,7 +370,7 @@ def test_taylor_step_allocates_no_candidate_stack():
 
 @pytest.mark.parametrize("mode, bound", [("taylor", 600_000), ("exact", 1_400_000)], ids=["taylor", "exact"])
 def test_decision_pass_keeps_its_chunk_budget(mode, bound):
-    # a decision pass takes one loading per call. At paper shape (86 ages,
+    # a decision pass takes one loading. At paper shape (86 ages,
     # 2 x 69 training rows) a taylor pass holds about 4.3 (rows, N) arrays,
     # 400 KB, per loading: 507 KB here, where taking two at a time traced
     # 979 KB. An exact pass holds about 12.6, 1.2 MB: 1.29 MB here, where
@@ -380,52 +381,48 @@ def test_decision_pass_keeps_its_chunk_budget(mode, bound):
     data = GroupedPanel(tuple(split_train_test(panel, 1989)[0] for panel in panels))
     g = annuity_transform_for(data, term=10, discount=1 / 1.05, annuity_mode=mode)
     problem = _DecisionProblem(data, g, 2.0)
-    rng = np.random.default_rng(27)
-    stack = np.stack([random_loading(rng, 86, 1).matrix for _ in range(5)])
-    signal = np.zeros((5,) + problem.signal_shape)
-    problem.descent(stack, signal)
+    M = random_loading(np.random.default_rng(27), 86, 1).matrix
+    problem.descent(M)
     tracemalloc.start()
     try:
-        problem.descent(stack, signal)
+        problem.descent(M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound
 
 
-def lockstep_cases():
+def restart_cases():
     data, _ = synthesize(N=10, r=2, group_sizes=[20, 15], noise_scales=[1.5, 0.5], seed=3)
     for r in (1, 2):
         for lam in (0.0, 10.0):
-            yield f"factor-r{r}-lambda{lam:g}", _FactorProblem(data, lam), data, r
+            yield f"factor-r{r}-lambda{lam:g}", data, r, identity_transform(), lam
     rng = np.random.default_rng(25)
     annuity = annuity_panels(rng, T1=8, T2=7, N=12, spread=0.2)
     for mode in ("taylor", "exact"):
-        g = annuity_transform_for(annuity, term=4, discount=0.95, annuity_mode=mode)
-        yield mode, _DecisionProblem(annuity, g, 2.0), annuity, 1
+        yield mode, annuity, 1, annuity_transform_for(annuity, term=4, discount=0.95, annuity_mode=mode), 2.0
     exp_data = panel_pair(0.4 * rng.standard_normal((9, 7)), 0.4 * rng.standard_normal((8, 7)))
-    yield "elementwise", _DecisionProblem(exp_data, elementwise_transform("exp"), 1.5), exp_data, 2
+    yield "elementwise", exp_data, 2, elementwise_transform("exp"), 1.5
 
 
-@pytest.mark.parametrize("case", list(lockstep_cases()), ids=lambda case: case[0])
-def test_restarts_in_lockstep_take_their_own_steps(case):
-    # runs that share every batched kernel call, and leave the batch at
-    # different iterations, must reproduce each start's run alone bit for bit
-    _, problem, data, r = case
+@pytest.mark.parametrize("case", list(restart_cases()), ids=lambda case: case[0])
+def test_restarts_in_lockstep_take_their_own_steps(case, pca_start):
+    # each start descends alone and stops at its own iteration; the fit with
+    # the same seed returns the first run of the lowest objective
+    _, data, r, g, penalty = case
+    problem = optimizer._problem(data, g, penalty)
     rng = np.random.default_rng(26)
     randoms = [random_loading(rng, data.n_ages, r).matrix for _ in range(4)]
-    stack = np.stack([fit_pca(data, r).loading.matrix] + randoms)
-    opts = OptimizerOptions(max_iterations=400)
-    alone = [optimizer._pgd(problem, stack[i : i + 1], opts)[0] for i in range(len(stack))]
-    for chunk in (len(stack), 2, 1):  # the signals and gradients taken all at once, two or one at a time
-        problem.chunk = chunk
-        together = optimizer._pgd(problem, stack, opts)
-        for a, b in zip(together, alone):
-            assert a.trace == b.trace and a.log == b.log and a.stop_reason == b.stop_reason
-            assert (a.iterations, a.evaluations) == (b.iterations, b.evaluations)
-            assert a.evaluations == 1 + a.iterations * len(_STEP_GRID)
-            assert np.array_equal(a.matrix, b.matrix)
-        assert len({run.iterations for run in together}) > 1
+    opts = OptimizerOptions(penalty=penalty, max_iterations=400, restarts=5, seed=26)
+    runs = [optimizer._descend(problem, M, opts) for M in [fit_pca(data, r).loading.matrix] + randoms]
+    for run in runs:
+        assert run.evaluations == 1 + run.iterations * len(_STEP_GRID)
+    assert len({run.iterations for run in runs}) > 1
+    best = min(runs, key=lambda run: run.objective)
+    fit = fit_fair_decision(data, r, opts, g)
+    assert fit.objective_trace == tuple(best.trace) and fit.iteration_log == tuple(best.log)
+    assert (fit.stop_reason, fit.iterations, fit.evaluations) == (best.stop_reason, best.iterations, best.evaluations)
+    assert np.array_equal(fit.loading.matrix, fix_column_signs(best.matrix))
 
 
 # ---------------------------------------------------------------- line search
@@ -435,9 +432,9 @@ def test_line_search_zero_direction():
     rng = np.random.default_rng(14)
     problem = _FactorProblem(random_instance(rng, N=4), 1.0)
     L = random_loading(rng, 4, 2)
-    step = _step(problem, L.matrix[None], np.zeros((1, 4, 2)), np.array([1.0]))
-    assert step.eta[0] == 0.0 and np.array_equal(step.loadings[0], L.matrix) and step.objectives[0] == 1.0
-    assert not step.moved[0] and np.isnan(step.errors[0]).all()
+    eta, M, objective, errors, moved = _step(problem, L.matrix, np.zeros((4, 2)), 1.0)
+    assert eta == 0.0 and np.array_equal(M, L.matrix) and objective == 1.0
+    assert not moved and np.isnan(errors).all()
 
 
 def test_grid_step_matches_line_search():
@@ -447,7 +444,7 @@ def test_grid_step_matches_line_search():
         data = random_instance(rng, T1=7, T2=6, N=7)
         problem = _FactorProblem(data, 3.0)
         L = random_loading(rng, 7, 2)
-        grad = problem.gradients(L.matrix[None])[0]
+        grad = problem.descent(L.matrix)[0]
         etas = _STEP_GRID * np.linalg.norm(L.matrix) / np.linalg.norm(grad)
         values = [
             problem.objective(Loading(np.sqrt(7) * nearest_orthonormal(L.matrix - eta * grad)))
@@ -455,10 +452,10 @@ def test_grid_step_matches_line_search():
         ]
         best = int(np.argmin(values))
         assert values[best] < problem.objective(L)
-        step = _step(problem, L.matrix[None], grad[None], np.array([problem.objective(L)]))
-        assert step.eta[0] == pytest.approx(etas[best], rel=1e-12)
-        assert step.objectives[0] == pytest.approx(values[best], rel=1e-10)
-        assert problem.objective(Loading(step.loadings[0])) == pytest.approx(step.objectives[0], rel=1e-10)
+        eta, M, objective, _, _ = _step(problem, L.matrix, grad, problem.objective(L))
+        assert eta == pytest.approx(etas[best], rel=1e-12)
+        assert objective == pytest.approx(values[best], rel=1e-10)
+        assert problem.objective(Loading(M)) == pytest.approx(objective, rel=1e-10)
 
 
 def test_line_search_never_worse():
@@ -469,10 +466,10 @@ def test_line_search_never_worse():
         L = random_loading(rng, 6, 2)
         current = fair_factor_objective(data, L, 2.0)
         for grad in (fair_factor_gradient(data, L, 2.0), -fair_factor_gradient(data, L, 2.0)):
-            step = _step(problem, L.matrix[None], grad[None], np.array([current]))
-            nxt = Loading(step.loadings[0])
+            _, M, objective, _, _ = _step(problem, L.matrix, grad, current)
+            nxt = Loading(M)
             assert fair_factor_objective(data, nxt, 2.0) <= current + 1e-12
-            assert step.objectives[0] == pytest.approx(fair_factor_objective(data, nxt, 2.0), rel=1e-10)
+            assert objective == pytest.approx(fair_factor_objective(data, nxt, 2.0), rel=1e-10)
 
 
 # ----------------------------------------------------------------------- fits
@@ -593,7 +590,8 @@ def test_dual_bound_holds_at_higher_rank(r, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "groups, r, penalty", [(3, 1, 1.0), (2, 0, 1.0), (2, 7, 1.0), (2, 1, -1.0), (2, 1, np.nan), (2, 1, np.inf)]
+    "groups, r, penalty",
+    [(3, 1, 1.0), (2, 0, 1.0), (2, 7, 1.0), (2, 1.5, 1.0), (2, 2.0, 1.0), (2, 1, -1.0), (2, 1, np.nan), (2, 1, np.inf)],
 )
 def test_dual_rejects_what_it_cannot_bound(groups, r, penalty):
     data, _ = synthesize(N=6, r=1, group_sizes=[5] * groups, noise_scales=[1.0] * groups, seed=0)
@@ -628,14 +626,24 @@ def test_fits_without_a_two_group_dual_keep_their_path():
     opts = OptimizerOptions(penalty=3.0, restarts=3, seed=2, max_iterations=300)
     fit = fit_fair_factor(data, 1, opts)
     rng = np.random.default_rng(2)
-    stack = np.stack([fit_pca(data, 1).loading.matrix] + [random_loading(rng, 8, 1).matrix for _ in range(2)])
-    best = min(optimizer._pgd(_FactorProblem(data, 3.0), stack, opts), key=lambda run: run.objective)
+    starts = [fit_pca(data, 1).loading.matrix] + [random_loading(rng, 8, 1).matrix for _ in range(2)]
+    problem = _FactorProblem(data, 3.0)
+    best = min((optimizer._descend(problem, M, opts) for M in starts), key=lambda run: run.objective)
     assert fit.objective_trace == tuple(best.trace) and fit.iterations == best.iterations
     assert (fit.lower_bound, fit.certified_gap) == (None, None)
     annuity = annuity_panels(np.random.default_rng(5), T1=6, T2=6, N=5)
     g = annuity_transform_for(annuity, term=3, discount=0.95)
     decision = fit_fair_decision(annuity, 1, OptimizerOptions(penalty=1.0, restarts=1, max_iterations=5), g)
     assert (decision.lower_bound, decision.certified_gap) == (None, None)
+
+
+def test_a_certified_start_takes_no_step_that_loses_more_than_the_tolerance():
+    # at this panel's optimum the grid's best step loses 1.02e-12, within
+    # current + 1e-12 as rounded at 657: the loss itself must be compared
+    data, _ = synthesize(N=40, r=1, group_sizes=[60, 60], noise_scales=[2.0, 1.0], seed=18154)
+    fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=10.0))
+    before, after = fit.objective_trace
+    assert fit.certified_gap <= 1e-9 and after - before <= 1e-12
 
 
 def test_zero_panels_certify_a_zero_gap_without_warnings():
@@ -674,7 +682,8 @@ def test_fit_reports_nonconvergence_without_raising():
     "field,value",
     [("penalty", np.nan), ("penalty", np.inf), ("penalty", -1.0),
      ("convergence_epsilon", np.nan), ("convergence_epsilon", np.inf), ("convergence_epsilon", 0.0),
-     ("seed", -1), ("seed", 1.5), ("seed", "3")],
+     ("seed", -1), ("seed", 1.5), ("seed", "3"),
+     ("max_iterations", 0), ("max_iterations", 2.5), ("restarts", 0), ("restarts", 2.5), ("restarts", 3.0)],
 )
 def test_options_reject_non_finite_and_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field.split("_")[-1]):
