@@ -19,7 +19,6 @@ forms coincide.
 
 import math
 import numbers
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -104,21 +103,19 @@ def _combine(errors: np.ndarray, rows: np.ndarray, total_rows: int, penalty: flo
 def _penalized_gradient(
     errors: np.ndarray, grads: list[np.ndarray], rows: np.ndarray, total_rows: int, penalty: float
 ) -> np.ndarray:
-    """Penalized gradients of a stack from its (R, K) group errors and K (R, N, r) group gradients."""
+    """Penalized (N, r) gradient from (K,) group errors and K (N, r) group gradients."""
     out = sum((rows[k] / total_rows) * grads[k] for k in range(len(grads)))
     if penalty:
         for k in range(len(grads)):
             for kp in range(k + 1, len(grads)):
-                weight = 2.0 * penalty * (errors[:, k] - errors[:, kp])
-                out = out + weight[:, None, None] * (grads[k] - grads[kp])
+                out = out + 2.0 * penalty * (errors[k] - errors[kp]) * (grads[k] - grads[kp])
     return out
 
 
 class _Problem:
     """Penalized objective and gradient from a subclass's per-group errors:
-    errors_batch for a (B, N, r) stack of candidates, and _pass for a
-    (1, N, r) stack holding one iterate, which gives its group errors, group
-    gradients and stop signal in one go.
+    errors_batch prices a (B, N, r) stack of candidates, and _pass gives one
+    (N, r) loading's (K,) group errors, K (N, r) group gradients and stop signal.
     """
 
     def __init__(self, data: GroupedPanel, penalty: float):
@@ -132,8 +129,11 @@ class _Problem:
 
     def descent(self, M: np.ndarray):
         """The (N, r) penalized gradient of an (N, r) loading and its stop signal, from one _pass."""
-        errors, grads, signal = self._pass(M[None])
-        return _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)[0], signal
+        errors, grads, signal = self._pass(M)
+        grad = _penalized_gradient(errors, grads, self.rows, self.total_rows, self.penalty)
+        if not np.isfinite(grad).all():
+            raise FloatingPointError(f"the penalized gradient has non-finite entries at penalty {self.penalty:g}")
+        return grad, signal
 
 
 class _FactorProblem(_Problem):
@@ -156,13 +156,12 @@ class _FactorProblem(_Problem):
             out[:, k] = (self.sq[k] - quad / self.N) / self.rows[k]
         return out
 
-    def _pass(self, stack: np.ndarray):
-        """The stop signals are the reconstructions Y L L^T / N."""
-        products = [np.matmul(gram, stack) for gram in self.grams]
-        quads = [(stack * GM).sum(axis=(1, 2)) for GM in products]
-        errors = np.stack([(sq - q / self.N) / t for sq, q, t in zip(self.sq, quads, self.rows)], axis=1)
+    def _pass(self, M: np.ndarray):
+        """The stop signal is the reconstruction Y L L^T / N."""
+        products = [gram @ M for gram in self.grams]
+        errors = np.array([(sq - (M * GM).sum() / self.N) / t for sq, GM, t in zip(self.sq, products, self.rows)])
         grads = [(-2.0 / (t * self.N)) * GM for t, GM in zip(self.rows, products)]
-        recon = np.matmul(np.matmul(self.Y, stack), stack.transpose(0, 2, 1))
+        recon = self.Y @ M @ M.T
         recon /= self.N
         return errors, grads, recon
 
@@ -189,19 +188,18 @@ def _weight_tiles(M: np.ndarray, term: int, discount: float) -> Iterator[tuple]:
 
 
 def _weigh(tiles: list, x: np.ndarray) -> np.ndarray:
-    """W_t x_t for every row t of a (..., T, N) stack; the result is
-    (..., T, width). Each row is its own vector-matrix product."""
-    out = np.empty(x.shape[:-1] + (tiles[-1][1],))
+    """W_t x_t for every row t of a (T, N) matrix, one vector-matrix product per row: (T, width)."""
+    out = np.empty((len(x), tiles[-1][1]))
     for lo, hi, A in tiles:
-        np.matmul(x[..., None, lo : lo + A.shape[1]], A, out=out[..., None, lo:hi])
+        np.matmul(x[:, None, lo : lo + A.shape[1]], A, out=out[:, None, lo:hi])
     return out
 
 
 def _weigh_adjoint(tiles: Iterable, z: np.ndarray, n: int) -> np.ndarray:
-    """W_t^T z_t for every row t of a (..., T, width) stack; the result is (..., T, n)."""
-    out = np.zeros(z.shape[:-1] + (n,))
+    """W_t^T z_t for every row t of a (T, width) matrix; the result is (T, n)."""
+    out = np.zeros((len(z), n))
     for lo, hi, A in tiles:
-        out[..., lo : lo + A.shape[1]] += np.matmul(A, z[..., lo:hi, None])[..., 0]
+        out[:, lo : lo + A.shape[1]] += np.matmul(A, z[:, lo:hi, None])[:, :, 0]
     return out
 
 
@@ -230,29 +228,6 @@ class _DecisionProblem(_Problem):
             self._rates, self._tile = np.empty(size * self.N), np.empty(size * _TILE)  # its flat workspace
         else:
             self.g_ys = [apply_transform(g, group, y) for group, y in zip(self.groups, self.ys)]
-
-    def _error_parts(self, k: int, stack: np.ndarray, YL: np.ndarray):
-        """Return ((R,) error_k, (R, T, N) Z_k, g(recon_k)) from the (R, T, r)
-        products Y_k L, where Z_k stacks the per-sample z vectors."""
-        recon = np.matmul(YL, stack.transpose(0, 2, 1)) / self.N
-        if self.g.kind == "elementwise":
-            func, derivative = self.g.funcs()
-            priced = func(recon)
-            d = priced - self.g_ys[k]
-            return (d * d).sum(axis=(1, 2)) / self.rows[k], derivative(recon) * d, priced
-        m_recon = np.exp(recon + self.intercepts[k])
-        priced = epv_matrix(m_recon, self.g.term, self.g.discount)  # apply_transform, to the bit
-        if self.taylor:
-            d = _weigh(self.tiles[k], m_recon - self.m_obs[k])
-            error = (d * d).sum(axis=(1, 2)) / self.rows[k]
-            return error, m_recon * _weigh_adjoint(self.tiles[k], d, self.N), priced  # W^T W e
-        d = priced - self.g_ys[k]
-        error = (d * d).sum(axis=(1, 2)) / self.rows[k]
-        inside = m_recon <= 1.0  # clipping zeroes the sensitivity above 1
-        rates = np.clip(m_recon, 0.0, 1.0).reshape(-1, self.N)  # every sample of every loading is a row
-        tiles = _weight_tiles(rates, self.g.term, self.g.discount)  # one tile at a time
-        u = _weigh_adjoint(tiles, d.reshape(len(rates), -1), self.N).reshape(m_recon.shape)  # W(m_recon)^T d
-        return error, np.where(inside, m_recon, 0.0) * u, priced
 
     def errors_batch(self, stack: np.ndarray) -> np.ndarray:
         """Group errors of at most len(_STEP_GRID) candidates. In taylor mode
@@ -285,16 +260,33 @@ class _DecisionProblem(_Problem):
                 out[:, k] = (d * d).sum(axis=(1, 2)) / self.rows[k]
         return out
 
-    def _pass(self, stack: np.ndarray):
-        """The stop signals stack each group's g(recon) along the rows."""
-        errors, grads, signals = np.empty((len(stack), len(self.ys))), [], []
+    def _pass(self, M: np.ndarray):
+        """Z stacks a group's per-sample z vectors; the stop signal, every group's g(recon) by rows."""
+        errors, grads, signals = np.empty(len(self.ys)), [], []
         for k, Y in enumerate(self.ys):
-            YL = np.matmul(Y, stack)
-            errors[:, k], Z, priced = self._error_parts(k, stack, YL)
-            ZtYL = np.matmul(Z.transpose(0, 2, 1), YL)
-            grads.append((2.0 / (self.rows[k] * self.N)) * (ZtYL + np.matmul(Y.T, np.matmul(Z, stack))))
+            YL = Y @ M
+            recon = YL @ M.T / self.N
+            if self.g.kind == "elementwise":
+                func, derivative = self.g.funcs()
+                priced = func(recon)
+                d = priced - self.g_ys[k]
+                Z = derivative(recon) * d
+            else:
+                m_recon = np.exp(np.add(recon, self.intercepts[k], out=recon), out=recon)  # in place of recon
+                priced = epv_matrix(m_recon, self.g.term, self.g.discount)  # apply_transform, to the bit
+                if self.taylor:
+                    d = _weigh(self.tiles[k], m_recon - self.m_obs[k])
+                    Z = m_recon * _weigh_adjoint(self.tiles[k], d, self.N)  # W^T W e
+                else:
+                    d = priced - self.g_ys[k]
+                    tiles = _weight_tiles(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
+                    # W(m_recon)^T d, one tile at a time; clipping zeroes the sensitivity above 1
+                    Z = np.where(m_recon <= 1.0, m_recon, 0.0) * _weigh_adjoint(tiles, d, self.N)
+            errors[k] = (d * d).sum() / self.rows[k]
+            grads.append((2.0 / (self.rows[k] * self.N)) * (Z.T @ YL + Y.T @ (Z @ M)))
             signals.append(priced)
-        return errors, grads, np.concatenate(signals, axis=1)
+            del d, Z  # so that the next group's pricing does not hold them too
+        return errors, grads, np.concatenate(signals)
 
 
 def _problem(data: GroupedPanel, g: DecisionTransform, penalty: float):
@@ -374,6 +366,16 @@ def _scaled_polar(stack: np.ndarray):
     return np.sqrt(n) * np.einsum("bij,bjk->bik", u, vt), valid
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a finite array, rescaled by its largest entry only where the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm):
+        scale = float(np.abs(x).max())
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 def _step(problem, M: np.ndarray, grad: np.ndarray, current: float):
     """Exact search along -grad over _STEP_GRID from an (N, r) loading, with
     the scaled polar projection: all len(_STEP_GRID) candidates are
@@ -384,7 +386,7 @@ def _step(problem, M: np.ndarray, grad: np.ndarray, current: float):
     errors, when its gradient is zero or every step loses more than
     _IMPROVEMENT_TOL against the current objective.
     """
-    gnorm = np.linalg.norm(grad)
+    gnorm = _norm(grad)
     if gnorm != 0.0:  # a zero gradient's grid would hold the loading itself: price nothing
         etas = _STEP_GRID * (np.linalg.norm(M) / gnorm)
         projected, valid = _scaled_polar(M - etas[:, None, None] * grad)
@@ -398,19 +400,18 @@ def _step(problem, M: np.ndarray, grad: np.ndarray, current: float):
         best = int(np.argmin(values))
         value = float(values[best])
         if not value - current > _IMPROVEMENT_TOL:  # the loss itself: current + tol can round up
-            return float(etas[best]), projected[best], value, errors[best], True
+            return float(etas[best]), projected[best].copy(), value, errors[best], True  # pins no batch
     return 0.0, M, current, np.full(len(problem.rows), np.nan), False
 
 
 @dataclass
 class _RunState:
-    """One start's run, its history in flat arrays of doubles, until the fit
-    keeps the run of lowest objective."""
+    """One start's run and its history, until the fit keeps the run of lowest objective."""
 
     matrix: np.ndarray  # (N, r) loading, the final one once the run stops
-    trace: array  # objective at the start and after every iteration
-    steps: array = field(default_factory=lambda: array("d"))  # step size per iteration; 0 where it stayed
-    errors: array = field(default_factory=lambda: array("d"))  # K group errors per iteration
+    trace: list[float]  # objective at the start and after every iteration
+    steps: list[float] = field(default_factory=list)  # step size per iteration; 0 where it stayed
+    unfairness: list[float] = field(default_factory=list)  # pairwise unfairness per iteration
     stop_reason: str = "max_iterations"
     gradient: np.ndarray | None = None  # (N, r) penalized gradient at the final loading
 
@@ -435,10 +436,9 @@ class _RunState:
 
     @property
     def log(self) -> list[dict]:
-        errors = np.frombuffer(self.errors).reshape(self.iterations, -1)
         return [
-            {"iteration": i, "objective": obj, "unfairness": pairwise_unfairness(e), "step_size": eta}
-            for i, (obj, e, eta) in enumerate(zip(self.trace[1:], errors, self.steps), start=1)
+            {"iteration": i, "objective": obj, "unfairness": u, "step_size": eta}
+            for i, (obj, u, eta) in enumerate(zip(self.trace[1:], self.unfairness, self.steps), start=1)
         ]
 
 
@@ -453,15 +453,14 @@ def _descend(problem, M: np.ndarray, opts: OptimizerOptions) -> _RunState:
     """
     errors = problem.errors_batch(M[None])[0]
     objective = float(_combine(errors, problem.rows, problem.total_rows, problem.penalty))
-    run = _RunState(M, array("d", [objective]))
+    run = _RunState(M, [objective])
     grad, signal = problem.descent(M)
     for _ in range(opts.max_iterations):
         eta, M, objective, step_errors, moved = _step(problem, M, grad, objective)
-        if moved:
-            errors = step_errors
+        errors = step_errors if moved else errors  # a step that stays has no errors of its own
         run.trace.append(objective)
         run.steps.append(eta)
-        run.errors.extend(errors)
+        run.unfairness.append(pairwise_unfairness(errors))
         if not moved:
             run.stop_reason = "no_descent"
             break
@@ -494,10 +493,10 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
     if opts.restarts > 1:  # a single-start fit draws nothing, so it never loads numpy.random
         rng = np.random.default_rng(opts.seed)
         starts += [random_loading(rng, N, r) for _ in range(opts.restarts - 1)]
-    runs = [_descend(problem, start.matrix, opts) for start in starts]
-    best = min(runs, key=lambda run: run.objective)  # the first of the lowest
+    # the first run of the lowest objective: min drops every other run as soon as it has lost
+    best = min((_descend(problem, start.matrix, opts) for start in starts), key=lambda run: run.objective)
     M, grad = best.matrix, best.gradient
-    gradient_norm = float(np.linalg.norm(grad - M @ (M.T @ grad) / N))  # Riemannian: tangent part
+    gradient_norm = _norm(grad - M @ (M.T @ grad) / N)  # Riemannian: tangent part
     loading = Loading(fix_column_signs(M))
     errors = decision_errors(data, loading, g)
     clipped = 0  # reconstructed annuity rates above 1, which pricing clips

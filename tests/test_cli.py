@@ -216,6 +216,14 @@ def test_cv_of_the_plain_factor_model_is_a_config_error(tmp_path, capsys):
     assert not any((tmp_path / "o").iterdir())
 
 
+def test_a_non_finite_gradient_is_a_numerical_error(tmp_path, capsys, hmd_file):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=fair-decision\nlambda=1e308\n")
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "FloatingPointError" and "penalty 1e+308" in record["message"]
+    assert not (tmp_path / "o" / "fit.json").exists()
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code = run_cli("fit", "--set", "mystery=1", "--out", str(tmp_path / "o"))
     assert code == 2
@@ -603,27 +611,33 @@ def test_repro_schema_and_determinism(tmp_path, hmd_file):
         tmp_path,
         f"data={hmd_file}\nrepro_lambda_factor=3\nrepro_lambda_decision=1\nmax_iterations=300\n",
     )
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli("repro", "--config", str(cfg), "--out", str(out1)) == 0
-    assert run_cli("repro", "--config", str(cfg), "--out", str(out2)) == 0
-    files1, files2 = read_outputs(out1), read_outputs(out2)
-    assert set(files1) == {"table1.csv", "table2.csv", "metrics.csv", "metrics.json", "convergence.jsonl"}
-    assert files1 == files2
+    for groups, header in (
+        ("male,female", "rmse_female,rmse_male"),
+        ("male,female,total", "rmse_female,rmse_male,rmse_total"),
+    ):
+        out1, out2 = tmp_path / f"{groups}-a", tmp_path / f"{groups}-b"
+        assert run_cli("repro", "--config", str(cfg), "--set", f"groups={groups}", "--out", str(out1)) == 0
+        assert run_cli("repro", "--config", str(cfg), "--set", f"groups={groups}", "--out", str(out2)) == 0
+        files1, files2 = read_outputs(out1), read_outputs(out2)
+        assert set(files1) == {"table1.csv", "table2.csv", "metrics.csv", "metrics.json", "convergence.jsonl"}
+        assert files1 == files2
 
-    for table in ("table1.csv", "table2.csv"):
-        lines = files1[table].decode().splitlines()
-        assert lines[1] == "model,rmse_female,rmse_male,difference,total"
-        models = [row.split(",")[0] for row in lines[2:]]
-        assert models == ["factor", "fair-factor", "fair-decision"]
-        for row in lines[2:]:
-            cells = [float(v) for v in row.split(",")[1:]]
-            assert len(cells) == 4
-            # the emitted difference and total are consistent with the groups
-            assert cells[2] == pytest.approx(abs(cells[0] - cells[1]), rel=1e-9)
+        for table in ("table1.csv", "table2.csv"):
+            lines = files1[table].decode().splitlines()
+            assert lines[1] == f"model,{header},difference,total"
+            models = [row.split(",")[0] for row in lines[2:]]
+            assert models == ["factor", "fair-factor", "fair-decision"]
+            for row in lines[2:]:
+                cells = [float(v) for v in row.split(",")[1:]]
+                assert len(cells) == len(groups.split(",")) + 2
+                # the emitted difference and total are consistent with the groups:
+                # the difference is the largest minus the smallest group RMSE
+                rmse = cells[:-2]
+                assert cells[-2] == pytest.approx(max(rmse) - min(rmse), rel=1e-9)
 
-    convergence = files1["convergence.jsonl"].decode().splitlines()[1:]
-    models_seen = {json.loads(line)["model"] for line in convergence}
-    assert models_seen == {"fair-factor", "fair-decision"}
+        convergence = files1["convergence.jsonl"].decode().splitlines()[1:]
+        models_seen = {json.loads(line)["model"] for line in convergence}
+        assert models_seen == {"fair-factor", "fair-decision"}
 
 
 def test_cv_command(tmp_path, hmd_file):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -38,6 +39,7 @@ from fairfactor.transforms import (
     apply_transform,
     decision_errors,
     elementwise_transform,
+    epv_matrix,
     epv_weights_stack,
     identity_transform,
 )
@@ -307,6 +309,46 @@ def test_annuity_exact_gradient_matches_finite_differences():
 
     h = 1e-6 * np.linalg.norm(L.matrix)
     fd = fd_gradient(exact_oracle, L.matrix, h)
+    assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("kind", ["exp", "taylor", "exact"])
+def test_three_group_decision_gradients_match_finite_differences(kind, r):
+    # the penalty's pair loop beyond K = 2, against group errors priced by hand
+    rng = np.random.default_rng(23)
+    N, level = 6, np.full(6, -2.5)
+    data = GroupedPanel(
+        tuple(
+            Panel(f"g{k}", np.arange(T), np.arange(N), 0.3 * rng.standard_normal((T, N)), level.copy())
+            for k, T in enumerate((5, 4, 6))
+        )
+    )
+    lam = 1.7
+    if kind == "exp":
+        g = elementwise_transform("exp")
+    else:
+        g = annuity_transform_for(data, term=3, discount=0.95, annuity_mode=kind)
+    weights = [epv_weights_stack(np.exp(p.y + level), 3, 0.95) for p in data.panels]
+
+    def price(k, y):
+        if kind == "exp":
+            return np.exp(y)
+        if kind == "taylor":  # linear in the rates, with the weights of the observed rates
+            return np.einsum("tij,tj->ti", weights[k], np.exp(y + level))
+        return epv_matrix(np.exp(y + level), 3, 0.95)
+
+    def oracle(M):
+        errs = []
+        for k, p in enumerate(data.panels):
+            d = price(k, (p.y @ M) @ M.T / N) - price(k, p.y)
+            errs.append(float((d**2).sum()) / p.n_years)
+        total = sum(p.n_years * e for p, e in zip(data.panels, errs)) / data.total_rows
+        return total + lam * sum((errs[i] - errs[j]) ** 2 for i in range(3) for j in range(i + 1, 3))
+
+    L = random_loading(rng, N, r)
+    grad = fair_decision_gradient(data, L, lam, g)
+    fd = fd_gradient(oracle, L.matrix, 1e-6 * np.linalg.norm(L.matrix))
     assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
 
 
@@ -767,6 +809,35 @@ def test_ascent_direction_stops_as_no_descent(monkeypatch, pca_start):
     assert fit.objective_trace[1] == fit.objective_trace[0]
     assert fit.evaluations == 1 + len(_STEP_GRID)
     assert np.array_equal(fit.loading.matrix, pca.loading.matrix)
+
+
+def huge_penalty_fits(penalty):
+    rng = np.random.default_rng(12)
+    annuity = annuity_panels(rng)
+    g = annuity_transform_for(annuity, term=3, discount=0.95)
+    yield lambda: fit_fair_decision(annuity, 1, OptimizerOptions(penalty=penalty), g)
+    three, _ = synthesize(N=10, r=1, group_sizes=[20, 20, 20], noise_scales=[2.0, 1.0, 0.5], seed=0)
+    yield lambda: fit_fair_factor(three, 1, OptimizerOptions(penalty=penalty))
+
+
+def test_a_gradient_whose_squares_overflow_still_descends():
+    # at penalty 1e200 the gradient's sum of squares overflows: its norm must
+    # not read inf, which made every grid step 0 and reported convergence
+    for fit in huge_penalty_fits(1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit()
+        stopped_in_place = result.stop_reason == "no_descent"
+        steps = [rec["step_size"] for rec in result.iteration_log]
+        assert all(step > 0.0 for step in steps[: len(steps) - stopped_in_place])
+        assert result.objective_trace[-1] < result.objective_trace[0]
+        json.dumps(result.to_json_dict(), allow_nan=False)
+
+
+def test_a_non_finite_gradient_fails_naming_the_penalty():
+    for fit in huge_penalty_fits(1e308):
+        with pytest.raises(FloatingPointError, match="penalty 1e\\+308"):
+            fit()
 
 
 def test_annuity_exact_mode_validates_taylor_fit():
