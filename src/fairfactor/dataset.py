@@ -375,29 +375,49 @@ def panels_to_csv(panels: Iterable[Panel], stream: io.TextIOBase) -> None:
 
 
 def panels_from_csv(stream: io.TextIOBase) -> list[Panel]:
+    """Read panels_to_csv's layout. A row without five fields or with an
+    unreadable or non-finite number, a repeated (group, year, age) cell, or an
+    age whose intercept differs between a group's rows is a DataError naming
+    its line."""
     reader = csv.reader(stream)
     header = next(reader, None)
     while header is not None and header and header[0].startswith("#"):
         header = next(reader, None)
     if header != PANEL_CSV_HEADER:
         raise DataError(f"unexpected panel CSV header {header!r}")
-    cells: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
+    cells: dict[str, dict[tuple[int, int], float]] = {}
+    intercepts: dict[str, dict[int, float]] = {}
     for row in reader:
         if not row:
             continue
+        where = f"panel CSV line {reader.line_num}"
+        if len(row) != len(PANEL_CSV_HEADER):
+            raise DataError(f"{where}: expected {len(PANEL_CSV_HEADER)} fields, got {len(row)}")
         group, year, age, value, intercept = row
-        cells.setdefault(group, {})[(int(year), int(age))] = (float(value), float(intercept))
+        try:
+            cell, value, intercept = (int(year), int(age)), float(value), float(intercept)
+        except ValueError:
+            raise DataError(f"{where}: unreadable year, age, value or intercept in {row!r}") from None
+        if not (math.isfinite(value) and math.isfinite(intercept)):
+            raise DataError(f"{where}: value {value!r} or intercept {intercept!r} is not finite")
+        if cell in cells.setdefault(group, {}):
+            raise DataError(f"{where}: repeated cell group {group!r}, year {cell[0]}, age {cell[1]}")
+        cells[group][cell] = value
+        first = intercepts.setdefault(group, {}).setdefault(cell[1], intercept)
+        if first != intercept:
+            raise DataError(f"{where}: group {group!r}, age {cell[1]} has intercept {intercept!r}, "
+                            f"not {first!r} as on an earlier row")
     panels = []
     for group, data in cells.items():
         years = np.array(sorted({yr for yr, _ in data}), dtype=int)
         ages = np.array(sorted({ag for _, ag in data}), dtype=int)
         y = np.empty((len(years), len(ages)))
-        intercept = np.empty(len(ages))
         for t, yr in enumerate(years):
             for i, ag in enumerate(ages):
                 try:
-                    y[t, i], intercept[i] = data[(int(yr), int(ag))]
+                    y[t, i] = data[(int(yr), int(ag))]
                 except KeyError:
                     raise DataError(f"group {group!r}: missing cell year {yr}, age {ag}") from None
+        intercept = np.array([intercepts[group][int(ag)] for ag in ages])
         panels.append(Panel(group=group, years=years, ages=ages, y=y, intercept=intercept))
     return panels

@@ -6,7 +6,7 @@ projectors; raw loadings are only sign-normalized for stable serialization.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -78,15 +78,16 @@ class FactorPath:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit; to_json_dict and from_json_dict walk these fields, so a new
+    one needs one line here (with a default, for files written before it)."""
+
     loading: Loading
     factors: tuple[FactorPath, ...]
     objective_trace: tuple[float, ...]
     group_errors: np.ndarray
-    unfairness: float
     iterations: int
     converged: bool
     degenerate_spectrum: bool
-    groups: tuple[str, ...]
     iteration_log: tuple[dict, ...] = field(default=(), repr=False)
     clipped_rates: int = 0
     # the kept run's stop (small_change | no_descent | max_iterations),
@@ -100,53 +101,53 @@ class FitResult:
     lower_bound: float | None = None
     certified_gap: float | None = None
 
+    @classmethod
+    def from_panel(cls, data: GroupedPanel, loading: Loading, errors: np.ndarray, **diagnostics) -> "FitResult":
+        """The fit of a loading to a panel, with its factor paths panel_y @ loading / N."""
+        factors = tuple(FactorPath(p.group, p.y @ loading.matrix / data.n_ages) for p in data.panels)
+        return cls(loading=loading, factors=factors, group_errors=errors, **diagnostics)
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        return tuple(f.group for f in self.factors)
+
+    @property
+    def unfairness(self) -> float:
+        return pairwise_unfairness(self.group_errors)
+
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": FIT_SCHEMA_VERSION,
-            "groups": list(self.groups),
-            "loading": self.loading.matrix.tolist(),
-            "factors": {f.group: f.matrix.tolist() for f in self.factors},
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "group_errors": [float(v) for v in self.group_errors],
-            "unfairness": float(self.unfairness),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "degenerate_spectrum": self.degenerate_spectrum,
-            "clipped_rates": self.clipped_rates,
-            "stop_reason": self.stop_reason,
-            "gradient_norm": self.gradient_norm,
-            "evaluations": self.evaluations,
-            "lower_bound": self.lower_bound,
-            "certified_gap": self.certified_gap,
-            "iteration_log": [dict(rec) for rec in self.iteration_log],
-        }
+        """Every field, tuples as lists, with the schema version, groups and unfairness."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update({name: list(value) for name, value in payload.items() if isinstance(value, tuple)})
+        payload.update(
+            schema_version=FIT_SCHEMA_VERSION,
+            groups=list(self.groups),
+            unfairness=float(self.unfairness),
+            loading=self.loading.matrix.tolist(),
+            factors={f.group: f.matrix.tolist() for f in self.factors},
+            group_errors=[float(v) for v in self.group_errors],
+        )
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FitResult":
+        """Reads to_json_dict's payload. A field with a default may be missing
+        (older files); keys that are not fields, such as meta, are ignored."""
         version = payload.get("schema_version")
         if version != FIT_SCHEMA_VERSION:
             raise ValueError(f"unsupported fit schema version {version!r}")
-        groups = tuple(payload["groups"])
-        return cls(
+        values = {}
+        for f in fields(cls):
+            value = payload[f.name] if f.default is MISSING else payload.get(f.name, f.default)
+            if f.type in (int, bool):  # f.type is the annotation itself
+                value = f.type(value)
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+        values.update(
             loading=Loading(np.array(payload["loading"], dtype=float)),
-            factors=tuple(
-                FactorPath(g, np.array(payload["factors"][g], dtype=float)) for g in groups
-            ),
-            objective_trace=tuple(payload["objective_trace"]),
+            factors=tuple(FactorPath(g, np.array(payload["factors"][g], dtype=float)) for g in payload["groups"]),
             group_errors=np.array(payload["group_errors"], dtype=float),
-            unfairness=float(payload["unfairness"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            degenerate_spectrum=bool(payload["degenerate_spectrum"]),
-            groups=groups,
-            iteration_log=tuple(payload.get("iteration_log", ())),
-            clipped_rates=int(payload.get("clipped_rates", 0)),
-            stop_reason=payload.get("stop_reason"),
-            gradient_norm=payload.get("gradient_norm"),
-            evaluations=int(payload.get("evaluations", 0)),
-            lower_bound=payload.get("lower_bound"),
-            certified_gap=payload.get("certified_gap"),
         )
+        return cls(**values)
 
 
 def fix_column_signs(matrix: np.ndarray) -> np.ndarray:
@@ -197,7 +198,7 @@ def fit_pca(data: GroupedPanel, r: int) -> FitResult:
     """Principal-components fit: loading / sqrt(N) = top-r eigenvectors of Y^T Y."""
     Y = data.stacked()
     T, N = Y.shape
-    if not (isinstance(r, numbers.Integral) and 1 <= r <= min(N, T)):
+    if not (_is_integer(r) and 1 <= r <= min(N, T)):
         raise ValueError(f"r must be an integer in [1, {min(N, T)}], got {r!r}")
     S = Y.T @ Y
     probe = min(r + 1, N)
@@ -207,19 +208,15 @@ def fit_pca(data: GroupedPanel, r: int) -> FitResult:
         gap_scale = max(1.0, abs(float(values[0])))
         degenerate = abs(float(values[r - 1] - values[r])) <= _DEGENERACY_ATOL * gap_scale
     loading = Loading(fix_column_signs(np.sqrt(N) * vectors[:, :r]))
-    errors = group_errors(data, loading)
-    return FitResult(
-        loading=loading,
-        factors=tuple(FactorPath(p.group, p.y @ loading.matrix / N) for p in data.panels),
-        objective_trace=(reconstruction_error(Y, loading),),
-        group_errors=errors,
-        unfairness=pairwise_unfairness(errors),
-        iterations=0,
-        converged=True,
-        degenerate_spectrum=degenerate,
-        groups=data.groups,
+    return FitResult.from_panel(
+        data, loading, group_errors(data, loading), objective_trace=(reconstruction_error(Y, loading),),
+        iterations=0, converged=True, degenerate_spectrum=degenerate,
     )
 
+
+def _is_integer(value) -> bool:
+    """An integral value that is not a bool (bool is an Integral subclass)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _relative_gap(objective: float, lower_bound: float) -> float:
@@ -247,7 +244,7 @@ def fair_factor_dual(data: GroupedPanel, r: int, penalty: float) -> FactorDual:
     loading is solved for in their span. Returns the evaluated loading of
     least objective and the largest bound. A zero penalty gives PCA.
     """
-    rank_ok = isinstance(r, numbers.Integral) and 1 <= r <= data.n_ages
+    rank_ok = _is_integer(r) and 1 <= r <= data.n_ages
     if len(data.panels) != 2 or not rank_ok or not 0.0 <= penalty < np.inf:
         raise ValueError(f"the dual takes two groups, an integer r in [1, {data.n_ages}] and a finite "
                          f"penalty >= 0, got {len(data.panels)}, {r!r} and {penalty}")

@@ -6,7 +6,7 @@ chosen by the corrected Akaike criterion. The family contains the random walk
 with drift (p=0, d=1), the canonical choice for log-mortality indices.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,14 +35,7 @@ class DriftARModel:
     aicc: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "differencing": self.differencing,
-            "drift": self.drift,
-            "ar_coefficients": list(self.ar_coefficients),
-            "innovation_variance": self.innovation_variance,
-            "aicc": self.aicc,
-        }
+        return asdict(self)
 
 
 def _is_stationary(coeffs: np.ndarray) -> bool:

@@ -18,7 +18,6 @@ forms coincide.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -26,9 +25,9 @@ import numpy as np
 
 from .dataset import GroupedPanel
 from .factor import (
-    FactorPath,
     FitResult,
     Loading,
+    _is_integer,
     _relative_gap,
     fair_factor_dual,
     fit_pca,
@@ -82,7 +81,7 @@ class OptimizerOptions:
             raise ValueError(f"convergence epsilon must be finite and positive, got {self.convergence_epsilon}")
         for name, least in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if not (_is_integer(value) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -498,28 +497,17 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
     M, grad = best.matrix, best.gradient
     gradient_norm = _norm(grad - M @ (M.T @ grad) / N)  # Riemannian: tangent part
     loading = Loading(fix_column_signs(M))
-    errors = decision_errors(data, loading, g)
     clipped = 0  # reconstructed annuity rates above 1, which pricing clips
     if g.kind == "annuity":
         P = loading.projector()
         clipped = sum(
             int((np.exp(p.y @ P + g.intercept_for(p.group)) > 1.0).sum()) for p in data.panels
         )
-    return FitResult(
-        loading=loading,
-        factors=tuple(FactorPath(p.group, p.y @ loading.matrix / N) for p in data.panels),
-        objective_trace=tuple(best.trace),
-        group_errors=errors,
-        unfairness=pairwise_unfairness(errors),
-        iterations=best.iterations,
-        converged=best.converged,
-        degenerate_spectrum=pca.degenerate_spectrum,
-        groups=data.groups,
-        iteration_log=tuple(best.log),
-        clipped_rates=clipped,
-        stop_reason=best.stop_reason,
-        gradient_norm=gradient_norm,
-        evaluations=best.evaluations,
+    return FitResult.from_panel(
+        data, loading, decision_errors(data, loading, g), objective_trace=tuple(best.trace),
+        iterations=best.iterations, converged=best.converged, degenerate_spectrum=pca.degenerate_spectrum,
+        iteration_log=tuple(best.log), clipped_rates=clipped, stop_reason=best.stop_reason,
+        gradient_norm=gradient_norm, evaluations=best.evaluations,
         lower_bound=None if dual is None else dual.lower_bound,
         certified_gap=None if dual is None else _relative_gap(best.objective, dual.lower_bound),
     )

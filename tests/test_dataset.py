@@ -324,6 +324,62 @@ def test_panel_csv_round_trip():
         assert np.allclose(q.intercept, p.intercept, atol=0.0)
 
 
+
+def panel_csv_lines():
+    data, _ = synthesize(N=5, r=1, group_sizes=[3, 4], noise_scales=[0.3, 0.1], seed=9)
+    buf = io.StringIO()
+    panels_to_csv(data.panels, buf)
+    return buf.getvalue().splitlines()  # line 1 is the header, line k is lines[k - 1]
+
+
+def read_panel_lines(lines):
+    return panels_from_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_panel_csv_row_without_five_fields_names_its_line():
+    lines = panel_csv_lines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    with pytest.raises(DataError, match="line 3: expected 5 fields, got 4"):
+        read_panel_lines(lines)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 4], ids=["year", "age", "value", "intercept"])
+def test_panel_csv_unreadable_number_names_its_line(column):
+    lines = panel_csv_lines()
+    fields = lines[4].split(",")
+    fields[column] = "x" + fields[column]
+    lines[4] = ",".join(fields)
+    with pytest.raises(DataError, match="line 5: unreadable"):
+        read_panel_lines(lines)
+
+
+@pytest.mark.parametrize("column, token", [(3, "inf"), (4, "nan")], ids=["value", "intercept"])
+def test_panel_csv_non_finite_number_names_its_line(column, token):
+    lines = panel_csv_lines()
+    fields = lines[4].split(",")
+    fields[column] = token
+    lines[4] = ",".join(fields)
+    with pytest.raises(DataError, match="line 5: value .* is not finite"):
+        read_panel_lines(lines)
+
+
+def test_panel_csv_repeated_cell_names_its_line():
+    lines = panel_csv_lines()
+    lines.append(lines[1])
+    with pytest.raises(DataError, match=f"line {len(lines)}: repeated cell group 'g1', year 1900, age 0"):
+        read_panel_lines(lines)
+
+
+def test_panel_csv_intercept_differing_between_rows_names_its_line():
+    lines = panel_csv_lines()
+    fields = lines[6].split(",")  # age 0 of g1's second year: the first row of that age is line 2
+    assert fields[:3] == ["g1", "1901", "0"]
+    fields[4] = repr(float(fields[4]) + 1.0)
+    lines[6] = ",".join(fields)
+    with pytest.raises(DataError, match="line 7: group 'g1', age 0 has intercept"):
+        read_panel_lines(lines)
+    assert len(read_panel_lines(panel_csv_lines())) == 2  # the unchanged file still reads
+
 def test_parse_build_deterministic():
     body = "".join(
         f"{y} {a} 0.0{a + 1} 0.0{a + 2} 0.0{a + 1}\n" for y in range(2000, 2006) for a in range(0, 4)

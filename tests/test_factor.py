@@ -1,7 +1,12 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import hmd_text
 
-from fairfactor.dataset import GroupedPanel, Panel, synthesize
+from fairfactor.dataset import GroupedPanel, Panel, build_panel, parse_hmd_1x1, split_train_test, synthesize
 from fairfactor.factor import (
     FitResult,
     Loading,
@@ -12,7 +17,8 @@ from fairfactor.factor import (
     unfairness,
 )
 from fairfactor.linalg import nearest_orthonormal
-from fairfactor.optimizer import OptimizerOptions, fit_fair_factor
+from fairfactor.optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
+from fairfactor.transforms import annuity_transform_for
 
 
 def panel_pair(y1, y2):
@@ -49,7 +55,7 @@ def test_fit_pca_overflowing_panel_raises():
         fit_pca(huge, 1)
 
 
-@pytest.mark.parametrize("r", [0, 9, 1.5, 2.0])
+@pytest.mark.parametrize("r", [0, 9, 1.5, 2.0, True])
 def test_fit_pca_and_fair_fits_reject_a_rank_that_is_not_an_integer_in_range(r):
     data, _ = synthesize(N=8, r=1, group_sizes=[6, 6], noise_scales=[1.0, 1.0], seed=2)
     for fit in (fit_pca, lambda data, r: fit_fair_factor(data, r, OptimizerOptions(penalty=1.0))):
@@ -202,3 +208,26 @@ def test_fit_result_json_round_trip():
     assert (old.stop_reason, old.gradient_norm, old.evaluations) == (None, None, 0)
     with pytest.raises(ValueError, match="schema"):
         FitResult.from_json_dict({"schema_version": 99})
+
+
+def readme_fit_keys():
+    """The keys README's fit.json entry names in its first sentence."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    entry = readme.split("* `fit.json`:", 1)[1].split(". ", 1)[0]
+    return set(re.findall(r"`(\w+)`", entry))
+
+
+def test_fit_json_round_trips_every_key():
+    table = parse_hmd_1x1(hmd_text())
+    panels = [build_panel(table, group, ages=(0, 15), years=(1950, 2005)) for group in ("male", "female")]
+    train = GroupedPanel(tuple(split_train_test(panel, 1989)[0] for panel in panels))
+    g = annuity_transform_for(train, term=10, discount=1 / 1.05)
+    taylor = fit_fair_decision(train, 1, OptimizerOptions(penalty=2.0, restarts=2, max_iterations=5), g)
+    assert taylor.stop_reason == "max_iterations" and taylor.lower_bound is None
+    certified = fit_fair_factor(train, 1, OptimizerOptions(penalty=11.0))
+    assert certified.lower_bound is not None and certified.certified_gap <= 1e-9
+    for fit in (taylor, certified, fit_pca(train, 1)):
+        payload = fit.to_json_dict()
+        assert json.loads(json.dumps(payload)) == payload  # plain JSON values: lists, not tuples or arrays
+        assert FitResult.from_json_dict(payload).to_json_dict() == payload
+        assert set(payload) | {"meta"} == readme_fit_keys()

@@ -411,7 +411,7 @@ def test_taylor_step_allocates_no_candidate_stack():
 
 
 @pytest.mark.parametrize("mode, bound", [("taylor", 600_000), ("exact", 1_400_000)], ids=["taylor", "exact"])
-def test_decision_pass_keeps_its_chunk_budget(mode, bound):
+def test_decision_pass_keeps_its_memory_budget(mode, bound):
     # a decision pass takes one loading. At paper shape (86 ages,
     # 2 x 69 training rows) a taylor pass holds about 4.3 (rows, N) arrays,
     # 400 KB, per loading: 507 KB here, where taking two at a time traced
@@ -448,7 +448,7 @@ def restart_cases():
 
 
 @pytest.mark.parametrize("case", list(restart_cases()), ids=lambda case: case[0])
-def test_restarts_in_lockstep_take_their_own_steps(case, pca_start):
+def test_restarts_descend_one_at_a_time(case, pca_start):
     # each start descends alone and stops at its own iteration; the fit with
     # the same seed returns the first run of the lowest objective
     _, data, r, g, penalty = case
@@ -467,10 +467,10 @@ def test_restarts_in_lockstep_take_their_own_steps(case, pca_start):
     assert np.array_equal(fit.loading.matrix, fix_column_signs(best.matrix))
 
 
-# ---------------------------------------------------------------- line search
+# ------------------------------------------------------------------ grid step
 
 
-def test_line_search_zero_direction():
+def test_grid_step_zero_direction():
     rng = np.random.default_rng(14)
     problem = _FactorProblem(random_instance(rng, N=4), 1.0)
     L = random_loading(rng, 4, 2)
@@ -479,8 +479,8 @@ def test_line_search_zero_direction():
     assert not moved and np.isnan(errors).all()
 
 
-def test_grid_step_matches_line_search():
-    # the batched step must pick the argmin of a per-candidate line search
+def test_grid_step_matches_per_candidate_search():
+    # the batched step must pick the argmin of the candidates priced one at a time
     rng = np.random.default_rng(21)
     for _ in range(10):
         data = random_instance(rng, T1=7, T2=6, N=7)
@@ -500,7 +500,7 @@ def test_grid_step_matches_line_search():
         assert problem.objective(Loading(M)) == pytest.approx(objective, rel=1e-10)
 
 
-def test_line_search_never_worse():
+def test_grid_step_never_worse():
     rng = np.random.default_rng(15)
     data = random_instance(rng)
     problem = _FactorProblem(data, 2.0)
@@ -633,7 +633,8 @@ def test_dual_bound_holds_at_higher_rank(r, monkeypatch):
 
 @pytest.mark.parametrize(
     "groups, r, penalty",
-    [(3, 1, 1.0), (2, 0, 1.0), (2, 7, 1.0), (2, 1.5, 1.0), (2, 2.0, 1.0), (2, 1, -1.0), (2, 1, np.nan), (2, 1, np.inf)],
+    [(3, 1, 1.0), (2, 0, 1.0), (2, 7, 1.0), (2, 1.5, 1.0), (2, 2.0, 1.0), (2, True, 1.0),
+     (2, 1, -1.0), (2, 1, np.nan), (2, 1, np.inf)],
 )
 def test_dual_rejects_what_it_cannot_bound(groups, r, penalty):
     data, _ = synthesize(N=6, r=1, group_sizes=[5] * groups, noise_scales=[1.0] * groups, seed=0)
@@ -725,7 +726,8 @@ def test_fit_reports_nonconvergence_without_raising():
     [("penalty", np.nan), ("penalty", np.inf), ("penalty", -1.0),
      ("convergence_epsilon", np.nan), ("convergence_epsilon", np.inf), ("convergence_epsilon", 0.0),
      ("seed", -1), ("seed", 1.5), ("seed", "3"),
-     ("max_iterations", 0), ("max_iterations", 2.5), ("restarts", 0), ("restarts", 2.5), ("restarts", 3.0)],
+     ("max_iterations", 0), ("max_iterations", 2.5), ("restarts", 0), ("restarts", 2.5), ("restarts", 3.0),
+     ("max_iterations", True), ("restarts", True), ("seed", False)],
 )
 def test_options_reject_non_finite_and_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field.split("_")[-1]):
