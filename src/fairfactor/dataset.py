@@ -11,11 +11,11 @@ import io
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .linalg import nearest_orthonormal
+from .linalg import _is_integer, nearest_orthonormal
 
 __all__ = [
     "DataError",
@@ -35,8 +35,6 @@ __all__ = [
 PANEL_CSV_HEADER = ["group", "year", "age", "log_rate_centered", "intercept"]
 
 OPEN_AGE_CLASS = 110
-
-_BLOCK_CHARS = 1 << 16  # characters of HMD text split into lines at a time (parse_hmd_1x1)
 
 
 class DataError(ValueError):
@@ -77,31 +75,16 @@ def _parse_rate(token: str, lineno: int) -> float:
     return value
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of text.splitlines(), split one block at a time.
-
-    Each block holds about _BLOCK_CHARS characters and ends just after a
-    line feed, or at the end of the text. So a CR LF pair never straddles
-    two blocks, every block boundary is a line boundary, and the blocks'
-    lines are the text's lines, without a list of them all.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
 def parse_hmd_1x1(text: str | Iterable[str]) -> MortalityTable:
     """Parse an HMD Mx 1x1 file (columns Year, Age, Female, Male, Total).
 
     The first two lines are headers. A column-name line starting with "Year"
     is tolerated wherever it appears. Age "110+" maps to 110, missing rates
     "." map to NaN. Years must lie in 0-9999 and ages in 0-110, years must be
-    non-decreasing, and duplicate (year, age) cells are rejected. A str is
-    split into lines block by block; any other iterable of lines is iterated.
+    non-decreasing, and duplicate (year, age) cells are rejected. Takes the
+    file's text or its lines, such as those of a file read one at a time.
     """
-    lines = _text_lines(text) if isinstance(text, str) else text
+    lines = text.splitlines() if isinstance(text, str) else text
     # typed columns: 8 bytes a cell, where a list holds a pointer plus a Python object
     years, ages = array("l"), array("l")
     female, male, total = array("d"), array("d"), array("d")
@@ -328,14 +311,14 @@ def synthesize(
     Group k's panel is F_k @ loading.T + noise_scales[k] * gaussian noise, with
     zero intercepts. Deterministic for a fixed seed.
     """
-    sizes = [int(s) for s in group_sizes]
+    sizes = list(group_sizes)
     scales = [float(s) for s in noise_scales]
-    if not 1 <= r <= N:
-        raise DataError(f"need N >= r >= 1, got N={N}, r={r}")
+    if not (_is_integer(N) and _is_integer(r) and 1 <= r <= N):
+        raise DataError(f"need integers N >= r >= 1, got N={N!r}, r={r!r}")
     if len(sizes) != len(scales) or len(sizes) < 2:
         raise DataError("group_sizes and noise_scales must match and give K >= 2 groups")
-    if any(t < 2 for t in sizes):
-        raise DataError("every group needs at least two rows")
+    if not all(_is_integer(t) and t >= 2 for t in sizes):
+        raise DataError(f"every group needs at least two rows, given as an integer, got {sizes}")
     if not all(0.0 <= s < math.inf for s in scales):
         raise DataError(f"noise scales must be finite and non-negative, got {scales}")
     rng = np.random.default_rng(seed)

@@ -5,14 +5,13 @@ the rank-r projector is loading @ loading.T / N. Fits are compared through
 projectors; raw loadings are only sign-normalized for stable serialization.
 """
 
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import GroupedPanel
-from .linalg import top_r_eigs
+from .linalg import _is_integer, top_r_eigs
 
 __all__ = [
     "Loading",
@@ -132,21 +131,33 @@ class FitResult:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FitResult":
         """Reads to_json_dict's payload. A field with a default may be missing
-        (older files); keys that are not fields, such as meta, are ignored."""
+        (older files); keys that are not fields, such as meta, are ignored. A
+        missing required key, or factors and group errors that do not match
+        groups and the loading's rank, is a ValueError."""
         version = payload.get("schema_version")
         if version != FIT_SCHEMA_VERSION:
             raise ValueError(f"unsupported fit schema version {version!r}")
+        required = ["groups", *(f.name for f in fields(cls) if f.default is MISSING)]
+        missing = [name for name in required if name not in payload]
+        if missing:
+            raise ValueError(f"fit record lacks the required keys {missing}")
+        groups = list(payload["groups"])
+        if sorted(payload["factors"]) != sorted(groups):
+            raise ValueError(f"fit record's factors name groups {sorted(payload['factors'])}, its groups {groups}")
+        if len(payload["group_errors"]) != len(groups):
+            raise ValueError(f"fit record has {len(payload['group_errors'])} group_errors for {len(groups)} groups")
         values = {}
         for f in fields(cls):
             value = payload[f.name] if f.default is MISSING else payload.get(f.name, f.default)
             if f.type in (int, bool):  # f.type is the annotation itself
                 value = f.type(value)
             values[f.name] = tuple(value) if isinstance(value, list) else value
-        values.update(
-            loading=Loading(np.array(payload["loading"], dtype=float)),
-            factors=tuple(FactorPath(g, np.array(payload["factors"][g], dtype=float)) for g in payload["groups"]),
-            group_errors=np.array(payload["group_errors"], dtype=float),
-        )
+        loading = Loading(np.array(payload["loading"], dtype=float))
+        factors = tuple(FactorPath(g, np.array(payload["factors"][g], dtype=float)) for g in groups)
+        for f in factors:
+            if f.matrix.ndim != 2 or f.matrix.shape[1] != loading.r:
+                raise ValueError(f"group {f.group!r}'s factors have shape {f.matrix.shape}, not (T, {loading.r})")
+        values.update(loading=loading, factors=factors, group_errors=np.array(payload["group_errors"], dtype=float))
         return cls(**values)
 
 
@@ -212,11 +223,6 @@ def fit_pca(data: GroupedPanel, r: int) -> FitResult:
         data, loading, group_errors(data, loading), objective_trace=(reconstruction_error(Y, loading),),
         iterations=0, converged=True, degenerate_spectrum=degenerate,
     )
-
-
-def _is_integer(value) -> bool:
-    """An integral value that is not a bool (bool is an Integral subclass)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _relative_gap(objective: float, lower_bound: float) -> float:

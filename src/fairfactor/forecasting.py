@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .factor import FitResult
+from .linalg import _is_integer
 
 __all__ = [
     "DriftARModel",
@@ -79,6 +80,8 @@ def fit_drift_ar(series: np.ndarray, p_max: int = 5, d_max: int = 2) -> DriftARM
     are rejected. Raises ValueError when the series is too short or every
     candidate is rejected.
     """
+    if not (_is_integer(p_max) and _is_integer(d_max) and p_max >= 0 and d_max >= 0):
+        raise ValueError(f"p_max and d_max must be non-negative integers, got {p_max!r} and {d_max!r}")
     series = np.asarray(series, dtype=float).ravel()
     if len(series) < min_history(p_max, d_max):
         raise ValueError(
@@ -121,8 +124,8 @@ def fit_drift_ar(series: np.ndarray, p_max: int = 5, d_max: int = 2) -> DriftARM
 
 def forecast(model: DriftARModel, history: np.ndarray, h: int) -> np.ndarray:
     """Iterated point forecasts h steps past the end of the history."""
-    if h < 1:
-        raise ValueError("forecast horizon must be at least 1")
+    if not (_is_integer(h) and h >= 1):
+        raise ValueError(f"forecast horizon h must be an integer of at least 1, got {h!r}")
     history = np.asarray(history, dtype=float).ravel()
     d, p = model.differencing, model.order
     if len(history) < p + d:

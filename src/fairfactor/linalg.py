@@ -1,5 +1,7 @@
 """Dense symmetric eigendecomposition and orthonormal-projection primitives."""
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -17,12 +19,17 @@ class RankDeficientError(ValueError):
     """Numerically dependent columns; the orthonormal projection is undefined."""
 
 
+def _is_integer(value) -> bool:
+    """An integral value that is not a bool (bool is an Integral subclass)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def top_r_eigs(S: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of a symmetric matrix, eigenvalues in descending order.
 
     The eigenpairs come from LAPACK's symmetric solver (numpy.linalg.eigh) on
     the symmetrized input. Raises ValueError on a non-square or non-symmetric
-    input or r outside [1, N], and FloatingPointError on a non-finite entry,
+    input or r not an integer in [1, N], and FloatingPointError on a non-finite entry,
     on which LAPACK would return NaNs without complaint.
     """
     S = np.asarray(S, dtype=float)
@@ -34,8 +41,8 @@ def top_r_eigs(S: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     asym = float(np.abs(S - S.T).max()) if n > 1 else 0.0
     if asym > _SYMMETRY_RTOL * max(1.0, float(np.abs(S).max())):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if not 1 <= r <= n:
-        raise ValueError(f"r={r} out of range [1, {n}]")
+    if not (_is_integer(r) and 1 <= r <= n):
+        raise ValueError(f"r={r!r} is not an integer in [1, {n}]")
     values, vectors = np.linalg.eigh(0.5 * (S + S.T))
     return values[::-1][:r], vectors[:, ::-1][:, :r]
 

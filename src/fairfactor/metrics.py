@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import GroupedPanel
+from .linalg import _is_integer
 from .optimizer import OptimizerOptions, fit_fair_decision
 from .transforms import DecisionTransform, decision_errors
 
@@ -173,8 +174,10 @@ def cross_validate_lambda(
         raise ValueError("penalties must be non-negative")
     if lambda_cap is not None and not lambda_cap >= 0:  # nan fails this too; inf caps nothing
         raise ValueError(f"the gap cap must be non-negative, got {lambda_cap}")
-    if k < 2:
-        raise ValueError("need at least two folds")
+    if not (_is_integer(k) and k >= 2):
+        raise ValueError(f"k must be an integer of at least 2 folds, got {k!r}")
+    if not (_is_integer(jobs) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
     for p in data.panels:
         if p.n_years < k:
             raise ValueError(f"group {p.group!r} has {p.n_years} rows, fewer than {k} folds")

@@ -27,14 +27,13 @@ from .dataset import GroupedPanel
 from .factor import (
     FitResult,
     Loading,
-    _is_integer,
     _relative_gap,
     fair_factor_dual,
     fit_pca,
     fix_column_signs,
     pairwise_unfairness,
 )
-from .linalg import RankDeficientError, nearest_orthonormal
+from .linalg import RankDeficientError, _is_integer, nearest_orthonormal
 from .transforms import (
     DecisionTransform,
     apply_transform,

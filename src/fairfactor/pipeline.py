@@ -47,9 +47,10 @@ def _temporary(path: Path) -> Path:
 class ArtifactWriter:
     """Writes deterministic artifacts under one directory, removing them on failure.
 
-    Each file is written under a temporary name in the same directory and
-    moved into place with os.replace once complete, so a target name never
-    holds a partial file.
+    Text artifacts are the header comment, then lines (write_lines): a CSV's
+    column header first, or a JSONL file's dumped records. Every write returns
+    its path. Each file is written under a temporary name in the same directory
+    and moved into place once complete, so a target name never holds a partial file.
     """
 
     def __init__(self, out_dir: str | Path, config_hash: str, seed: int):
@@ -70,25 +71,17 @@ class ArtifactWriter:
             yield fh
         os.replace(fh.name, path)
 
-    def write_text_rows(self, name: str, header_row: str, rows) -> Path:
+    def write_lines(self, name: str, lines) -> Path:
         with self._open(name) as fh:
             fh.write(self.header + "\n")
-            fh.write(header_row + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         return self.dir / name
 
     def write_json(self, name: str, payload: dict) -> Path:
         with self._open(name) as fh:
             json.dump({"meta": self.meta, **payload}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return self.dir / name
-
-    def write_jsonl(self, name: str, records) -> Path:
-        with self._open(name) as fh:
-            fh.write(self.header + "\n")
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
         return self.dir / name
 
     def write_panels(self, name: str, panels) -> Path:
@@ -114,12 +107,18 @@ class PreparedData:
     test: GroupedPanel
 
 
-def _read_text(path: str) -> str:
-    """The text of a data file; bytes that do not decode are a DataError."""
+@contextmanager
+def _data_lines(path: str):
+    """The lines of a data file, read one at a time: those of
+    Path(path).read_text().splitlines(). A DataError raised while they are
+    read, and bytes that do not decode, become a DataError naming the file."""
     try:
-        return Path(path).read_text()
+        with Path(path).open() as fh:
+            yield (part for line in fh for part in line.splitlines())
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: byte {exc.start} is not valid {exc.encoding} text ({exc.reason})") from None
+        raise DataError(f"{path}: not valid {exc.encoding} text ({exc.reason})") from None
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_panels(config: RunConfig, min_train_years: int = 1) -> PreparedData:
@@ -133,7 +132,8 @@ def load_panels(config: RunConfig, min_train_years: int = 1) -> PreparedData:
     for group in config.groups:
         path = config.data_path_for(group)
         if path not in tables:
-            tables[path] = parse_hmd_1x1(_read_text(path))
+            with _data_lines(path) as lines:
+                tables[path] = parse_hmd_1x1(lines)
         table = tables[path]
         years = table.years
         if len(years) == 0:
@@ -254,7 +254,7 @@ def write_scores(
         reports[model] = {"mortality": mortality, "epv": epv_report}
         tidy_rows += tidy_metric_rows(model, mortality, ages, years_by_group)
         tidy_rows += tidy_metric_rows(model, epv_report, start_ages, years_by_group)
-    writer.write_text_rows("metrics.csv", "model,quantity,group,scope,key,value", tidy_rows)
+    writer.write_lines("metrics.csv", ["model,quantity,group,scope,key,value", *tidy_rows])
     writer.write_json(
         "metrics.json",
         {"reports": {m: {q: r.to_json_dict() for q, r in by_q.items()} for m, by_q in reports.items()}},
@@ -284,9 +284,9 @@ def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, 
         return rows
 
     group_header = ",".join(f"rmse_{g}" for g in reports["factor"]["mortality"].groups)
-    writer.write_text_rows("table1.csv", f"model,{group_header},difference,total", table_rows("mortality"))
-    writer.write_text_rows("table2.csv", f"model,{group_header},difference,total", table_rows("epv"))
-    writer.write_jsonl("convergence.jsonl", convergence)
+    writer.write_lines("table1.csv", [f"model,{group_header},difference,total", *table_rows("mortality")])
+    writer.write_lines("table2.csv", [f"model,{group_header},difference,total", *table_rows("epv")])
+    writer.write_lines("convergence.jsonl", (json.dumps(record, sort_keys=True) for record in convergence))
     return reports
 
 
@@ -323,9 +323,8 @@ def run_fit(config: RunConfig, writer: ArtifactWriter) -> FitResult:
     data = load_panels(config)
     fit = fit_model(config, config.model, data.train, config.values["lambda"])
     writer.write_json("fit.json", fit.to_json_dict())
-    writer.write_jsonl(
-        "convergence.jsonl", [{"model": config.model, **rec} for rec in fit.iteration_log]
-    )
+    log = ({"model": config.model, **rec} for rec in fit.iteration_log)
+    writer.write_lines("convergence.jsonl", (json.dumps(rec, sort_keys=True) for rec in log))
     return fit
 
 
@@ -350,7 +349,7 @@ def run_cv(config: RunConfig, writer: ArtifactWriter):
         f"{int(row.feasible)},{int(row.penalty == table.chosen)}"
         for row in table.rows
     ]
-    writer.write_text_rows("cv.csv", "lambda,cv_error,mean_gap,feasible,chosen", rows)
+    writer.write_lines("cv.csv", ["lambda,cv_error,mean_gap,feasible,chosen", *rows])
     writer.write_json(
         "cv.json",
         {
@@ -371,8 +370,9 @@ def run_cv(config: RunConfig, writer: ArtifactWriter):
     return table
 
 
-def rates_csv_rows(rates: dict[str, np.ndarray], years_by_group, labels) -> list[str]:
-    rows = []
+def rates_csv_lines(rates: dict[str, np.ndarray], years_by_group, labels) -> list[str]:
+    """A group,year,age,value file's lines, its column header first."""
+    rows = ["group,year,age,value"]
     for group in sorted(rates):
         m = rates[group]
         years = years_by_group[group]
@@ -396,9 +396,7 @@ def _forecast_configured(config: RunConfig):
 def run_forecast(config: RunConfig, writer: ArtifactWriter):
     data, forecasted, models, years = _forecast_configured(config)
     ages = data.train.panels[0].ages
-    writer.write_text_rows(
-        "forecast_rates.csv", "group,year,age,value", rates_csv_rows(forecasted.rates, years, ages)
-    )
+    writer.write_lines("forecast_rates.csv", rates_csv_lines(forecasted.rates, years, ages))
     writer.write_json(
         "models.json",
         {
@@ -416,9 +414,7 @@ def run_price(config: RunConfig, writer: ArtifactWriter):
     epvs = _epvs(config, forecasted.rates)
     ages = data.train.panels[0].ages
     start_ages = ages[: epv_width(len(ages), config.term)]
-    writer.write_text_rows(
-        "epv.csv", "group,year,age,value", rates_csv_rows(epvs, years, start_ages)
-    )
+    writer.write_lines("epv.csv", rates_csv_lines(epvs, years, start_ages))
     return epvs
 
 
@@ -431,18 +427,19 @@ def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
     ignored.
     """
     cells: dict[str, dict[tuple[int, int], float]] = {}
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("group,"):
-            continue
-        try:
-            group, year, age, value = line.split(",")
-            key, rate = (int(year), int(age)), float(value)
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: expected group,year,age,value, got {line!r}") from None
-        if not (math.isfinite(rate) and rate >= 0.0) or key in cells.setdefault(group, {}):
-            raise DataError(f"{path} line {lineno}: non-finite, negative or repeated value {line!r}")
-        cells[group][key] = rate
+    with _data_lines(path) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("group,"):
+                continue
+            try:
+                group, year, age, value = line.split(",")
+                key, rate = (int(year), int(age)), float(value)
+            except ValueError:
+                raise DataError(f"line {lineno}: expected group,year,age,value, got {line!r}") from None
+            if not (math.isfinite(rate) and rate >= 0.0) or key in cells.setdefault(group, {}):
+                raise DataError(f"line {lineno}: non-finite, negative or repeated value {line!r}")
+            cells[group][key] = rate
     out = {}
     for group, years in years_by_group.items():
         table = cells.get(group, {})

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import GroupedPanel
 from .factor import Loading, group_errors
+from .linalg import _is_integer
 
 __all__ = [
     "DecisionTransform",
@@ -67,8 +68,8 @@ class DecisionTransform:
         if self.kind == "elementwise" and self.name not in ELEMENTWISE_MAPS:
             raise ValueError(f"unknown elementwise map {self.name!r}; have {sorted(ELEMENTWISE_MAPS)}")
         if self.kind == "annuity":
-            if self.term < 1:
-                raise ValueError("annuity term must be at least 1")
+            if not (_is_integer(self.term) and self.term >= 1):
+                raise ValueError(f"annuity term must be an integer of at least 1, got {self.term!r}")
             if not 0.0 < self.discount <= 1.0:
                 raise ValueError("discount factor must lie in (0, 1]")
             if self.intercepts is None:
@@ -103,7 +104,7 @@ def annuity_transform(
 ) -> DecisionTransform:
     frozen = {g: np.asarray(a, dtype=float).copy() for g, a in intercepts.items()}
     return DecisionTransform(
-        kind="annuity", term=int(term), discount=float(discount), intercepts=frozen, annuity_mode=annuity_mode
+        kind="annuity", term=term, discount=float(discount), intercepts=frozen, annuity_mode=annuity_mode
     )
 
 
@@ -122,8 +123,8 @@ def annuity_transform_for(data: GroupedPanel, term: int, discount: float, annuit
 
 def epv_width(N: int, n: int) -> int:
     """Number of priceable start ages: N - n + 2, except the full N when n = 1."""
-    if not 1 <= n <= N:
-        raise ValueError(f"term n={n} out of range [1, {N}]")
+    if not (_is_integer(n) and 1 <= n <= N):
+        raise ValueError(f"term n={n!r} is not an integer in [1, {N}]")
     return N if n == 1 else N - n + 2
 
 

@@ -94,6 +94,54 @@ def test_readme_example_config_resolves():
     assert config.model == "fair-decision"
 
 
+def test_per_group_data_overrides_pick_each_group_file():
+    config = resolve_config(parse_config_text("data = both.txt\ndata.female = female.txt\n"))
+    assert config.data_path_for("male") == "both.txt"
+    assert config.data_path_for("female") == "female.txt"
+
+
+@pytest.mark.parametrize("raw", ["false", "No", "0", "OFF"])
+def test_config_reads_every_false_spelling(raw):
+    config = resolve_config(parse_config_text(f"standardize = true\ncv_random_folds = {raw}\n"))
+    assert config.standardize is True and config.cv_random_folds is False
+
+
+def test_config_rejects_a_value_that_is_not_boolean():
+    with pytest.raises(ConfigError, match="expected a boolean, got 'maybe'"):
+        resolve_config(parse_config_text("standardize = maybe\n"))
+
+
+def test_run_config_has_no_unknown_attribute():
+    with pytest.raises(AttributeError, match="mystery"):
+        resolve_config({}).mystery
+
+
+def test_data_override_for_an_unknown_group_is_rejected():
+    with pytest.raises(ConfigError, match="overrides for unknown groups: \\['other'\\]"):
+        resolve_config(parse_config_text("data.other = x.txt\n"))
+
+
+def test_no_data_file_for_a_group_is_a_config_error(tmp_path, capsys, hmd_file):
+    cfg = write_cfg(tmp_path, f"data.male={hmd_file}\n")
+    assert run_cli("ingest", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert "no data file configured for group 'female'" in record["message"]
+
+
+def test_override_without_equals_is_a_config_error(tmp_path, capsys):
+    assert run_cli("ingest", "--set", "standardize", "--out", str(tmp_path / "o")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "override 'standardize' is not key=value" in record["message"]
+
+
+def test_jobs_flag_reaches_the_config(tmp_path, capsys, hmd_file):
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=fair-decision\n")
+    assert run_cli("cv", "--config", str(cfg), "--jobs", "0", "--out", str(tmp_path / "o")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "jobs must be finite and at least 1, got '0'" in record["message"]
+
+
 FUZZ_BYTES = b"=,#.x-9 \x00\x80\xc3\xff"
 FUZZ_VALUES = [
     b"", b"nan", b"inf", b"-1", b"0", b"1e400", b"abc", b"1,2", b"true", b"9" * 5000, b"\xff\xfe", b"\x00"
@@ -257,6 +305,35 @@ def test_exit_code_malformed_data(tmp_path, capsys):
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_malformed_line_of_a_per_group_file_names_that_file(tmp_path, capsys, hmd_file):
+    lines = hmd_file.read_text().splitlines()
+    year, age, *rates = lines[5].split()
+    lines[5] = "  ".join([year, "x", *rates])
+    female = tmp_path / "female.txt"
+    female.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\ndata.female={female}\n")
+    assert run_cli("ingest", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "HmdFormatError"
+    assert record["message"] == f"{female}: line 6: unreadable age 'x'"
+
+
+def test_ingest_reads_each_group_from_its_own_file(tmp_path, hmd_file):
+    other = tmp_path / "other.txt"
+    other.write_text(hmd_text(seed=1))
+    runs = {
+        "mixed": f"data={hmd_file}\ndata.female={other}\n",
+        "male": f"data={hmd_file}\n",
+        "female": f"data={other}\n",
+    }
+    rows = {}
+    for name, data in runs.items():
+        assert run_cli("ingest", "--config", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / name)) == 0
+        lines = (tmp_path / name / "panels_train.csv").read_text().splitlines()[2:]
+        rows[name] = lines if name == "mixed" else [line for line in lines if line.startswith(f"{name},")]
+    assert rows["mixed"] == rows["male"] + rows["female"]
+
+
 def undecodable_copy(source: Path, target: Path) -> Path:
     """A copy of a text file with one byte that is not valid UTF-8."""
     data = source.read_bytes()
@@ -364,13 +441,14 @@ def test_artifact_writer_leaves_no_partial_file(tmp_path):
     from fairfactor.pipeline import ArtifactWriter
 
     def rows():
+        yield "a,b"
         yield "1,2"
         raise RuntimeError("row source failed")
 
     writer = ArtifactWriter(tmp_path / "o", "abc", 0)
     writer.write_json("done.json", {"x": 1})
     with pytest.raises(RuntimeError):
-        writer.write_text_rows("table.csv", "a,b", rows())
+        writer.write_lines("table.csv", rows())
     assert not (tmp_path / "o" / "table.csv").exists()
     writer.discard_all()
     assert not list((tmp_path / "o").iterdir())

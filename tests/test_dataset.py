@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from conftest import hmd_text
 
-from fairfactor import dataset
 from fairfactor.dataset import (
     DataError,
     GroupedPanel,
     HmdFormatError,
+    MortalityTable,
     Panel,
     build_panel,
     panels_from_csv,
@@ -19,6 +19,7 @@ from fairfactor.dataset import (
     split_train_test,
     synthesize,
 )
+from fairfactor.pipeline import _data_lines
 
 HEADER = "Australia, Death rates (period 1x1)\n\n  Year   Age   Female   Male   Total\n"
 
@@ -73,16 +74,18 @@ def test_parse_rejects_out_of_range_year_or_age(year, age):
         table_from(f"1995  2  0.1  0.1  0.1\n{year}  {age}  0.1  0.1  0.1\n")
 
 
-def test_parse_paper_shape_peak_memory():
+def test_parse_paper_shape_peak_memory(tmp_path):
     # 8514 rows of a 434 KB file: typed columns hold a cell in 8 bytes, where
     # lists of floats and a set of (year, age) tuples took over 3 MB, and the
-    # text is split into lines a block at a time, where a list of all its
-    # lines took about 0.9 MB more; the table shares the typed columns'
+    # file is read one line at a time, where its whole text and a list of all
+    # its lines took about 0.9 MB more; the table shares the typed columns'
     # memory, where copying them into new arrays traced 708 KB against 470 KB
-    text = hmd_text(years=(1921, 2019), ages=(0, 85))
+    path = tmp_path / "Mx_1x1.txt"
+    path.write_text(hmd_text(years=(1921, 2019), ages=(0, 85)))
     tracemalloc.start()
     try:
-        table = parse_hmd_1x1(text)
+        with _data_lines(str(path)) as lines:
+            table = parse_hmd_1x1(lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -104,9 +107,10 @@ def parse_outcome(text):
 LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
 
 
-def test_parse_in_small_blocks_matches_whole_text(monkeypatch):
-    # blocks end just after a "\n", so no CR LF pair is split and the lines,
-    # and the line numbers in errors, are those of the whole text's splitlines
+def test_reader_matches_read_text_splitlines(tmp_path):
+    # the reader splits each line the file yields once more, so its lines, and
+    # the line numbers in errors, are those of the whole text's splitlines;
+    # the padded texts put a CR LF pair across the file's 8192-character reads
     body = ["1921  0  0.05  0.07  0.06", "1921  1  0.05  0.07  0.06", "", "1922  0  0.04  0.06  0.05"]
     bad = body[:1] + ["1921  1  0.05  oops  0.06"] + body[2:]
     texts = []
@@ -115,12 +119,17 @@ def test_parse_in_small_blocks_matches_whole_text(monkeypatch):
         texts += [header + brk.join(body) + brk, header + brk.join(body), header + brk.join(bad) + brk]
     mixed = [HEADER.rstrip("\n")] + body + bad
     texts.append("".join(line + LINE_BREAKS[i % len(LINE_BREAKS)] + "\n" for i, line in enumerate(mixed)))
-    for block in range(1, 40):
-        monkeypatch.setattr(dataset, "_BLOCK_CHARS", block)
-        for text in texts:
-            assert list(dataset._text_lines(text)) == text.splitlines()
-            assert parse_outcome(text) == parse_outcome(text.splitlines())
+    for cr_at in range(8188, 8196):
+        texts.append("x" * cr_at + "\r\n" + HEADER.partition("\n")[2] + "\r\n".join(bad) + "\r\n")
+    path = tmp_path / "lines.txt"
+    for text in texts:
+        path.write_text(text, newline="")  # no newline translation on the way out
+        with _data_lines(str(path)) as lines:
+            assert list(lines) == path.read_text().splitlines() == text.splitlines()
+        with _data_lines(str(path)) as lines:
+            assert parse_outcome(lines) == parse_outcome(text)
     assert parse_outcome(texts[2]) == "line 5: unreadable rate 'oops'"
+    assert parse_outcome(texts[-1]) == "line 5: unreadable rate 'oops'"
 
 
 FUZZ_TOKENS = (
@@ -155,14 +164,13 @@ def mutate_lines(lines, rng):
     return lines
 
 
-def test_parse_and_build_fuzz_fail_only_with_data_errors(monkeypatch):
+def test_parse_and_build_fuzz_fail_only_with_data_errors():
     # seeded mutations of a 16-age file; like the CLI, the year window is the
     # table's own. Every outcome is a panel pair or a DataError (exit code 3),
-    # and parsing the text in 100-character blocks gives the whole text's.
+    # and parsing the text gives what parsing its lines gives.
     rng = np.random.default_rng(2024)
     base = hmd_text().splitlines()
     outcomes = {"built": 0, "rejected": 0}
-    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 100)
     for _ in range(200):
         text = "\n".join(mutate_lines(base, rng))
         assert parse_outcome(text) == parse_outcome(text.splitlines())
@@ -387,3 +395,79 @@ def test_parse_build_deterministic():
     p1 = build_panel(table_from(body), "female", (0, 3), (2000, 2005))
     p2 = build_panel(table_from(body), "female", (0, 3), (2000, 2005))
     assert np.array_equal(p1.y, p2.y) and np.array_equal(p1.intercept, p2.intercept)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(N=5.5, r=1, group_sizes=[3, 3]),
+        dict(N=5, r=1.5, group_sizes=[3, 3]),
+        dict(N=5, r=True, group_sizes=[3, 3]),
+        dict(N=5, r=1, group_sizes=[3.7, 3]),
+        dict(N=5, r=1, group_sizes=[3, True]),
+    ],
+    ids=["float-N", "float-r", "bool-r", "float-size", "bool-size"],
+)
+def test_synthesize_rejects_counts_that_are_not_integers(kwargs):
+    # 3.7 rows used to become a group of 3; a float N or r failed inside numpy
+    with pytest.raises(DataError, match="integer"):
+        synthesize(noise_scales=[1.0, 1.0], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, fragment",
+    [
+        (dict(N=3, r=4, group_sizes=[3, 3], noise_scales=[1, 1]), "N >= r >= 1"),
+        (dict(N=3, r=1, group_sizes=[3, 1], noise_scales=[1, 1]), "every group needs at least two rows"),
+        (dict(N=3, r=1, group_sizes=[3, 3], noise_scales=[1, np.inf]), "noise scales must be finite"),
+    ],
+    ids=["rank-above-ages", "one-row-group", "infinite-noise"],
+)
+def test_synthesize_rejects_bad_arguments(kwargs, fragment):
+    with pytest.raises(DataError, match=fragment):
+        synthesize(**kwargs)
+
+
+def test_mortality_table_rejects_columns_of_different_lengths():
+    with pytest.raises(DataError, match="mismatched lengths"):
+        MortalityTable(years=np.array([1950, 1950]), ages=np.array([0]), rates={"male": np.array([0.1, 0.1])})
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        (dict(intercept=np.zeros(2)), "inconsistent shapes"),
+        (dict(scale=np.ones(2)), "scale length mismatch"),
+        (dict(y=np.array([[0.0, np.nan, 0.0]] * 2)), "non-finite entries"),
+    ],
+    ids=["shapes", "scale-length", "non-finite"],
+)
+def test_panel_rejects_inconsistent_fields(change, fragment):
+    fields = dict(group="g", years=np.arange(2), ages=np.arange(3), y=np.zeros((2, 3)), intercept=np.zeros(3))
+    with pytest.raises(DataError, match=fragment):
+        Panel(**{**fields, **change})
+
+
+def test_grouped_panel_rejects_duplicate_group_labels():
+    data, _ = synthesize(N=4, r=1, group_sizes=[3, 3], noise_scales=[1, 1], seed=0)
+    p = data.panels[0]
+    with pytest.raises(DataError, match="duplicate group labels"):
+        GroupedPanel((p, p))
+
+
+def test_build_panel_rejects_an_unknown_group():
+    table = table_from("1921  0  0.1  0.1  0.1\n")
+    with pytest.raises(DataError, match="unknown group 'other'"):
+        build_panel(table, "other", (0, 0), (1921, 1921))
+
+
+def test_panel_csv_with_a_wrong_header_is_rejected():
+    lines = panel_csv_lines()
+    with pytest.raises(DataError, match="unexpected panel CSV header"):
+        read_panel_lines(["group,year,age,value,intercept"] + lines[1:])
+
+
+def test_panel_csv_with_a_missing_cell_is_rejected():
+    lines = panel_csv_lines()  # group g1 covers years 1900-1902 and ages 0-4
+    with pytest.raises(DataError, match="group 'g1': missing cell year 1901, age 2"):
+        read_panel_lines([line for line in lines if not line.startswith("g1,1901,2,")])

@@ -231,3 +231,47 @@ def test_fit_json_round_trips_every_key():
         assert json.loads(json.dumps(payload)) == payload  # plain JSON values: lists, not tuples or arrays
         assert FitResult.from_json_dict(payload).to_json_dict() == payload
         assert set(payload) | {"meta"} == readme_fit_keys()
+
+
+def pca_payload():
+    data, _ = synthesize(N=5, r=2, group_sizes=[4, 6], noise_scales=[0.5, 0.2], seed=7)
+    return fit_pca(data, 2).to_json_dict()
+
+
+def drop_iterations(payload):
+    del payload["iterations"]
+
+
+def rename_factor_group(payload):
+    payload["factors"] = {"a": payload["factors"]["g1"], "g2": payload["factors"]["g2"]}
+
+
+def shorten_group_errors(payload):
+    payload["group_errors"] = payload["group_errors"][:1]
+
+
+def narrow_factors(payload):
+    payload["factors"]["g2"] = [row[:1] for row in payload["factors"]["g2"]]
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (drop_iterations, "required keys \\['iterations'\\]"),
+        (rename_factor_group, "factors name groups \\['a', 'g2'\\], its groups \\['g1', 'g2'\\]"),
+        (shorten_group_errors, "1 group_errors for 2 groups"),
+        (narrow_factors, "group 'g2'.s factors have shape \\(6, 1\\), not \\(T, 2\\)"),
+    ],
+    ids=["missing-key", "factors-name-other-groups", "short-group-errors", "factor-width"],
+)
+def test_fit_json_that_does_not_hold_together_is_a_value_error(edit, fragment):
+    # each used to raise a bare KeyError, or load a fit with a wrong unfairness
+    payload = pca_payload()
+    edit(payload)
+    with pytest.raises(ValueError, match=fragment):
+        FitResult.from_json_dict(payload)
+
+
+def test_loading_must_be_two_dimensional():
+    with pytest.raises(ValueError, match="loading must be 2-d"):
+        Loading(np.ones(3))

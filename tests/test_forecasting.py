@@ -175,3 +175,39 @@ def test_predict_epv_trivial_and_consistency():
         via_transform = apply_transform(g, k, np.log(m))
         assert via_transform.shape == (3, epv_width(8, 5))
         assert np.allclose(epv_matrix(m, 5, 0.95), via_transform, atol=1e-12)
+
+
+@pytest.mark.parametrize("h", [2.5, True])
+def test_forecast_rejects_a_horizon_that_is_not_an_integer(h):
+    # 2.5 used to fail inside range() with a TypeError
+    with pytest.raises(ValueError, match="forecast horizon h must be an integer"):
+        forecast(DriftARModel(0, 0, 1.7, (), 1.0, 0.0), np.array([5.0, 1.7]), h)
+
+
+@pytest.mark.parametrize("orders", [dict(p_max=1.5), dict(d_max=True), dict(p_max=-1)])
+def test_fit_drift_ar_rejects_orders_that_are_not_non_negative_integers(orders):
+    with pytest.raises(ValueError, match="p_max and d_max must be non-negative integers"):
+        fit_drift_ar(np.arange(40.0), **orders)
+
+
+def test_fit_drift_ar_with_no_finite_candidate_is_rejected():
+    # every candidate's sum of squared residuals overflows
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="no admissible drift-AR candidate"):
+        fit_drift_ar(np.array([1e300, -1e300] * 10), p_max=1, d_max=1)
+
+
+def test_forecast_rejects_a_history_shorter_than_the_model():
+    model = DriftARModel(2, 1, 0.0, (0.5, 0.1), 1.0, 0.0)
+    with pytest.raises(ValueError, match="history of length 2 too short"):
+        forecast(model, np.array([1.0, 2.0]), 1)
+
+
+def test_predict_mortality_rejects_missing_or_mismatched_models():
+    data, _ = synthesize(N=5, r=2, group_sizes=[20, 20], noise_scales=[0.1, 0.1], seed=4)
+    fit = fit_pca(data, 2)
+    models = fit_factor_models(fit)
+    intercepts = {p.group: p.intercept for p in data.panels}
+    with pytest.raises(KeyError, match="no forecasting models for group 'g2'"):
+        predict_mortality(fit, {"g1": models["g1"]}, intercepts, 3)
+    with pytest.raises(ValueError, match="group 'g1' has 2 factor columns but 1 models"):
+        predict_mortality(fit, {**models, "g1": models["g1"][:1]}, intercepts, 3)

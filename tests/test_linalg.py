@@ -114,3 +114,15 @@ def test_rank_deficient_rejected():
     with pytest.raises(RankDeficientError):
         nearest_orthonormal(A)
 
+
+
+@pytest.mark.parametrize("r", [True, 1.5, 1.0, "1"])
+def test_top_r_eigs_rejects_a_rank_that_is_not_an_integer(r):
+    # True used to count as 1, and 1.5 failed inside numpy's slicing
+    with pytest.raises(ValueError, match="is not an integer in \\[1, 3\\]"):
+        top_r_eigs(np.eye(3), r)
+
+
+def test_top_r_eigs_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="expected a square matrix, got shape \\(2, 3\\)"):
+        top_r_eigs(np.ones((2, 3)), 1)

@@ -239,3 +239,36 @@ def test_cv_annuity_fold_scores_match_brute_force_pricing(groups):
         row = table.row(lam)
         assert row.cv_error == pytest.approx(np.mean(errors), rel=1e-10)
         assert row.mean_gap == pytest.approx(np.mean(gaps), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "setting, fragment",
+    [
+        (dict(k=2.5), "k must be an integer"),
+        (dict(k=True), "k must be an integer"),
+        (dict(jobs=1.5), "jobs must be an integer"),
+        (dict(jobs=0), "jobs must be an integer of at least 1"),
+    ],
+    ids=["float-k", "bool-k", "float-jobs", "zero-jobs"],
+)
+def test_cv_rejects_counts_that_are_not_integers(setting, fragment):
+    # float counts used to fail with a TypeError, and jobs=0 ran serially
+    data, _ = synthesize(N=4, r=1, group_sizes=[5, 5], noise_scales=[1, 1], seed=9)
+    kwargs = {"k": 2, "lambda_cap": None, "g": identity_transform(), "opts": quick_opts(), **setting}
+    with pytest.raises(ValueError, match=fragment):
+        cross_validate_lambda(data, 1, [0.0], **kwargs)
+
+
+def test_cv_rejects_an_empty_penalty_grid():
+    data, _ = synthesize(N=4, r=1, group_sizes=[5, 5], noise_scales=[1, 1], seed=9)
+    with pytest.raises(ValueError, match="empty penalty grid"):
+        cross_validate_lambda(data, 1, [], k=2, lambda_cap=None, g=identity_transform(), opts=quick_opts())
+
+
+def test_cv_table_row_of_an_absent_penalty_is_a_key_error():
+    from fairfactor.metrics import CvRow, CvTable
+
+    table = CvTable(rows=(CvRow(0.0, 1.0, 0.5, True),), chosen=0.0, gap_cap=1.0, fallback=False)
+    assert table.row(0.0).cv_error == 1.0
+    with pytest.raises(KeyError, match="2.0"):
+        table.row(2.0)

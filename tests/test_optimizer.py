@@ -884,3 +884,10 @@ def test_clipped_rates_count_reconstructions_only(mode):
     observed = sum(int((np.exp(p.y + p.intercept) > 1.0).sum()) for p in data.panels)
     assert reconstructed > 0 and observed > 0  # observed rates above 1 do not depend on the fit
     assert fit.clipped_rates == reconstructed
+
+
+def test_annuity_taylor_objective_rejects_other_transforms():
+    data = panel_pair(np.zeros((3, 4)), np.ones((3, 4)))
+    L = Loading(nearest_orthonormal(np.ones((4, 1))) * 2.0)
+    with pytest.raises(ValueError, match="annuity transform only"):
+        annuity_taylor_objective(data, L, 1.0, identity_transform())

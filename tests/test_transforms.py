@@ -268,3 +268,31 @@ def test_transform_validation():
         annuity_transform(2, 1.5, {"g": np.zeros(3)})
     with pytest.raises(ValueError, match="intercepts"):
         DecisionTransform(kind="annuity", term=2, discount=0.9)
+
+
+@pytest.mark.parametrize("term", [2.5, True, 2.0])
+def test_annuity_transform_rejects_a_term_that_is_not_an_integer(term):
+    # 2.5 used to price a 2-year term and True a 1-year term
+    with pytest.raises(ValueError, match="annuity term must be an integer"):
+        annuity_transform(term, 0.9, {"g": np.zeros(3)})
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_epv_width_rejects_a_term_that_is_not_an_integer(n):
+    # epv_width(5, 2.5) used to return 4.5
+    with pytest.raises(ValueError, match="is not an integer in \\[1, 5\\]"):
+        epv_width(5, n)
+
+
+def test_annuity_transform_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown annuity mode 'fast'"):
+        annuity_transform(2, 0.9, {"g": np.zeros(3)}, annuity_mode="fast")
+
+
+def test_annuity_transform_for_rejects_a_term_longer_than_the_ages():
+    from fairfactor.transforms import annuity_transform_for
+
+    p = Panel("a", np.arange(2), np.arange(3), np.zeros((2, 3)), np.full(3, -3.0))
+    data = GroupedPanel((p, Panel("b", p.years, p.ages, p.y, p.intercept)))
+    with pytest.raises(ValueError, match="term 4 exceeds the 3 available ages"):
+        annuity_transform_for(data, term=4, discount=0.9)
