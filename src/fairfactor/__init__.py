@@ -15,8 +15,8 @@ from .dataset import (
     MortalityTable,
     Panel,
     build_panel,
+    panels_csv_lines,
     panels_from_csv,
-    panels_to_csv,
     parse_hmd_1x1,
     split_train_test,
     synthesize,

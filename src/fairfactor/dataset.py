@@ -1,4 +1,4 @@
-"""HMD 1x1 life-table ingestion, centered log-mortality panels, synthetic panels.
+"""HMD 1x1 life-table ingestion, centered log-mortality panels, synthetic panels, long CSV files.
 
 A panel stores y[t, i] = ln(m[t, i]) - a[i] for one group, where the intercept
 a is the per-age mean of the log rates over the panel's (training) years. An
@@ -6,12 +6,10 @@ optional per-age scale divides y after centering; it is stored so the original
 rates can be recovered exactly.
 """
 
-import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,7 +26,10 @@ __all__ = [
     "build_panel",
     "split_train_test",
     "synthesize",
-    "panels_to_csv",
+    "long_csv_lines",
+    "long_csv_rows",
+    "cell_matrix",
+    "panels_csv_lines",
     "panels_from_csv",
 ]
 
@@ -149,8 +150,10 @@ class Panel:
             raise DataError(f"panel {self.group!r}: inconsistent shapes")
         if self.scale is not None and len(self.scale) != N:
             raise DataError(f"panel {self.group!r}: scale length mismatch")
-        if not np.all(np.isfinite(self.y)):
-            raise DataError(f"panel {self.group!r}: non-finite entries")
+        if not (np.isfinite(self.y).all() and np.isfinite(self.intercept).all()):
+            raise DataError(f"panel {self.group!r}: non-finite entries in y or the intercept")
+        if self.scale is not None and not ((self.scale > 0.0) & (self.scale < np.inf)).all():
+            raise DataError(f"panel {self.group!r}: scale is not finite and positive")
 
     @property
     def n_years(self) -> int:
@@ -342,65 +345,77 @@ def synthesize(
     return GroupedPanel(tuple(panels)), SynthTruth(loading=loading, factors=factors, drifts=drifts)
 
 
-def panels_to_csv(panels: Iterable[Panel], stream: io.TextIOBase) -> None:
-    """Write panels in the documented long layout (one row per group/year/age).
-
-    Standardized panels are written in the unscaled convention
-    (log_rate_centered = ln(m) - intercept) so the file round-trips exactly.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PANEL_CSV_HEADER)
-    for p in panels:
-        y = p.y if p.scale is None else p.y * p.scale
-        for t, year in enumerate(p.years):
-            for i, age in enumerate(p.ages):
-                writer.writerow([p.group, int(year), int(age), repr(float(y[t, i])), repr(float(p.intercept[i]))])
+def long_csv_lines(header: list[str], tables) -> Iterator[str]:
+    """A long group,year,age,... CSV's lines: `header`, then a line per cell of each (group,
+    years, ages, columns) table, a (years x ages) matrix per value column, written as repr(float)."""
+    yield ",".join(header)
+    for group, years, ages, columns in tables:
+        for t, year in enumerate(years):
+            for i, age in enumerate(ages):
+                yield ",".join([group, str(int(year)), str(int(age)), *[repr(float(c[t, i])) for c in columns]])
 
 
-def panels_from_csv(stream: io.TextIOBase) -> list[Panel]:
-    """Read panels_to_csv's layout. A row without five fields or with an
-    unreadable or non-finite number, a repeated (group, year, age) cell, or an
-    age whose intercept differs between a group's rows is a DataError naming
-    its line."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    while header is not None and header and header[0].startswith("#"):
-        header = next(reader, None)
-    if header != PANEL_CSV_HEADER:
-        raise DataError(f"unexpected panel CSV header {header!r}")
+def long_csv_rows(lines: Iterable[str], header: list[str], kind: str) -> Iterator[tuple]:
+    """A long CSV's rows as (line number, group, year, age, values). Blank and
+    '#' lines are skipped, and the first other line must be `header`. A row
+    without the header's field count, with an unreadable or non-finite number,
+    or repeating a (group, year, age) cell is a DataError naming its line."""
+    rows = ((n, line) for n, line in enumerate(map(str.strip, lines), start=1) if line and not line.startswith("#"))
+    lineno, line = next(rows, (None, None))
+    if line is None:
+        raise DataError(f"no {kind} header {','.join(header)!r}: the file holds no rows")
+    if line.split(",") != header:
+        raise DataError(f"line {lineno}: unexpected {kind} header {line!r}, expected {','.join(header)!r}")
+    seen: dict[tuple[str, int, int], int] = {}  # cell -> its line
+    for lineno, line in rows:
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            year, age, values = int(fields[1]), int(fields[2]), [float(x) for x in fields[3:]]
+        except ValueError:
+            raise DataError(f"line {lineno}: unreadable year, age or value in {line!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"line {lineno}: value in {line!r} is not finite")
+        first = seen.setdefault((fields[0], year, age), lineno)
+        if first != lineno:
+            raise DataError(f"line {lineno}: repeated cell group {fields[0]!r}, year {year}, age {age} (line {first})")
+        yield lineno, fields[0], year, age, values
+
+
+def cell_matrix(group: str, cells: dict[tuple[int, int], float], years, ages) -> np.ndarray:
+    """A group's (years x ages) matrix of its (year, age) cells; a missing cell is a DataError."""
+    try:
+        return np.array([[cells[(int(yr), int(ag))] for ag in ages] for yr in years], dtype=float)
+    except KeyError as exc:
+        year, age = exc.args[0]
+        raise DataError(f"group {group!r}: missing cell year {year}, age {age}") from None
+
+
+def panels_csv_lines(panels: Iterable[Panel]) -> Iterator[str]:
+    """Panels' long CSV lines. Standardized panels are written unscaled
+    (log_rate_centered = ln(m) - intercept) so the file round-trips exactly;
+    each age's intercept is repeated on every year's line."""
+    return long_csv_lines(PANEL_CSV_HEADER, (
+        (p.group, p.years, p.ages, (p.y if p.scale is None else p.y * p.scale, np.broadcast_to(p.intercept, p.y.shape)))
+        for p in panels
+    ))
+
+
+def panels_from_csv(lines: Iterable[str]) -> list[Panel]:
+    """Read panels_csv_lines' layout from lines, or a text stream, under
+    long_csv_rows' rules. An age whose intercept differs between a group's
+    rows is a DataError naming its line."""
     cells: dict[str, dict[tuple[int, int], float]] = {}
     intercepts: dict[str, dict[int, float]] = {}
-    for row in reader:
-        if not row:
-            continue
-        where = f"panel CSV line {reader.line_num}"
-        if len(row) != len(PANEL_CSV_HEADER):
-            raise DataError(f"{where}: expected {len(PANEL_CSV_HEADER)} fields, got {len(row)}")
-        group, year, age, value, intercept = row
-        try:
-            cell, value, intercept = (int(year), int(age)), float(value), float(intercept)
-        except ValueError:
-            raise DataError(f"{where}: unreadable year, age, value or intercept in {row!r}") from None
-        if not (math.isfinite(value) and math.isfinite(intercept)):
-            raise DataError(f"{where}: value {value!r} or intercept {intercept!r} is not finite")
-        if cell in cells.setdefault(group, {}):
-            raise DataError(f"{where}: repeated cell group {group!r}, year {cell[0]}, age {cell[1]}")
-        cells[group][cell] = value
-        first = intercepts.setdefault(group, {}).setdefault(cell[1], intercept)
+    for lineno, group, year, age, (value, intercept) in long_csv_rows(lines, PANEL_CSV_HEADER, "panel CSV"):
+        cells.setdefault(group, {})[(year, age)] = value
+        first = intercepts.setdefault(group, {}).setdefault(age, intercept)
         if first != intercept:
-            raise DataError(f"{where}: group {group!r}, age {cell[1]} has intercept {intercept!r}, "
-                            f"not {first!r} as on an earlier row")
+            raise DataError(f"line {lineno}: group {group!r}, age {age} has intercept {intercept!r}, not {first!r}")
     panels = []
     for group, data in cells.items():
-        years = np.array(sorted({yr for yr, _ in data}), dtype=int)
-        ages = np.array(sorted({ag for _, ag in data}), dtype=int)
-        y = np.empty((len(years), len(ages)))
-        for t, yr in enumerate(years):
-            for i, ag in enumerate(ages):
-                try:
-                    y[t, i] = data[(int(yr), int(ag))]
-                except KeyError:
-                    raise DataError(f"group {group!r}: missing cell year {yr}, age {ag}") from None
+        years, ages = (np.array(sorted(set(axis)), dtype=int) for axis in zip(*data))
         intercept = np.array([intercepts[group][int(ag)] for ag in ages])
-        panels.append(Panel(group=group, years=years, ages=ages, y=y, intercept=intercept))
+        panels.append(Panel(group, years, ages, cell_matrix(group, data, years, ages), intercept))
     return panels

@@ -77,12 +77,14 @@ def fit_drift_ar(series: np.ndarray, p_max: int = 5, d_max: int = 2) -> DriftARM
     """Search p in 0..p_max, d in 0..d_max and keep the smallest-AICc candidate.
 
     Candidates whose AR polynomial is not stationary on the differenced scale
-    are rejected. Raises ValueError when the series is too short or every
-    candidate is rejected.
+    are rejected. Raises ValueError when the series holds a non-finite value
+    or is too short, or every candidate is rejected.
     """
     if not (_is_integer(p_max) and _is_integer(d_max) and p_max >= 0 and d_max >= 0):
         raise ValueError(f"p_max and d_max must be non-negative integers, got {p_max!r} and {d_max!r}")
     series = np.asarray(series, dtype=float).ravel()
+    if not np.isfinite(series).all():
+        raise ValueError("the drift-AR series holds a non-finite value")
     if len(series) < min_history(p_max, d_max):
         raise ValueError(
             f"series of length {len(series)} is too short for p_max={p_max}, d_max={d_max}"
@@ -127,6 +129,8 @@ def forecast(model: DriftARModel, history: np.ndarray, h: int) -> np.ndarray:
     if not (_is_integer(h) and h >= 1):
         raise ValueError(f"forecast horizon h must be an integer of at least 1, got {h!r}")
     history = np.asarray(history, dtype=float).ravel()
+    if not np.isfinite(history).all():
+        raise ValueError("the forecast history holds a non-finite value")
     d, p = model.differencing, model.order
     if len(history) < p + d:
         raise ValueError(f"history of length {len(history)} too short for the model")

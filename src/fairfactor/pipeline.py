@@ -7,7 +7,6 @@ hash and seed.
 """
 
 import json
-import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -20,7 +19,10 @@ from .dataset import (
     DataError,
     GroupedPanel,
     build_panel,
-    panels_to_csv,
+    cell_matrix,
+    long_csv_lines,
+    long_csv_rows,
+    panels_csv_lines,
     parse_hmd_1x1,
     split_train_test,
     synthesize,
@@ -39,6 +41,8 @@ from .transforms import (
 
 MODEL_ORDER = ("factor", "fair-factor", "fair-decision")
 
+RATES_CSV_HEADER = ["group", "year", "age", "value"]
+
 
 def _temporary(path: Path) -> Path:
     return path.with_name(f".{path.name}.tmp")
@@ -47,9 +51,9 @@ def _temporary(path: Path) -> Path:
 class ArtifactWriter:
     """Writes deterministic artifacts under one directory, removing them on failure.
 
-    Text artifacts are the header comment, then lines (write_lines): a CSV's
-    column header first, or a JSONL file's dumped records. Every write returns
-    its path. Each file is written under a temporary name in the same directory
+    Every text artifact goes through write_lines: the header comment, then the
+    lines given, a CSV's column header first or a JSONL file's dumped records.
+    Every write returns its path. Each file is written under a temporary name in the same directory
     and moved into place once complete, so a target name never holds a partial file.
     """
 
@@ -82,12 +86,6 @@ class ArtifactWriter:
         with self._open(name) as fh:
             json.dump({"meta": self.meta, **payload}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return self.dir / name
-
-    def write_panels(self, name: str, panels) -> Path:
-        with self._open(name) as fh:
-            fh.write(self.header + "\n")
-            panels_to_csv(panels, fh)
         return self.dir / name
 
     def discard_all(self) -> None:
@@ -301,7 +299,7 @@ def run_simulate(config: RunConfig, writer: ArtifactWriter) -> None:
         )
     except DataError as exc:  # simulate reads no data: its sim_* settings are at fault
         raise ConfigError(f"sim_ages, sim_r, sim_group_sizes and sim_noise_scales do not fit: {exc}") from None
-    writer.write_panels("panels.csv", data.panels)
+    writer.write_lines("panels.csv", panels_csv_lines(data.panels))
     writer.write_json(
         "truth.json",
         {
@@ -314,8 +312,8 @@ def run_simulate(config: RunConfig, writer: ArtifactWriter) -> None:
 
 def run_ingest(config: RunConfig, writer: ArtifactWriter) -> PreparedData:
     data = load_panels(config)
-    writer.write_panels("panels_train.csv", data.train.panels)
-    writer.write_panels("panels_test.csv", data.test.panels)
+    writer.write_lines("panels_train.csv", panels_csv_lines(data.train.panels))
+    writer.write_lines("panels_test.csv", panels_csv_lines(data.test.panels))
     return data
 
 
@@ -370,16 +368,9 @@ def run_cv(config: RunConfig, writer: ArtifactWriter):
     return table
 
 
-def rates_csv_lines(rates: dict[str, np.ndarray], years_by_group, labels) -> list[str]:
+def rates_csv_lines(rates: dict[str, np.ndarray], years_by_group, labels):
     """A group,year,age,value file's lines, its column header first."""
-    rows = ["group,year,age,value"]
-    for group in sorted(rates):
-        m = rates[group]
-        years = years_by_group[group]
-        for t in range(m.shape[0]):
-            for i in range(m.shape[1]):
-                rows.append(f"{group},{int(years[t])},{int(labels[i])},{fmt(m[t, i])}")
-    return rows
+    return long_csv_lines(RATES_CSV_HEADER, ((g, years_by_group[g], labels, (rates[g],)) for g in sorted(rates)))
 
 
 def _forecast_configured(config: RunConfig):
@@ -419,36 +410,17 @@ def run_price(config: RunConfig, writer: ArtifactWriter):
 
 
 def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
-    """Read a group,year,age,value file into per-group matrices over the
-    given years (rows) and ages (columns).
-
-    A malformed or duplicate row, a non-finite or negative value, or a
-    missing cell is a DataError; cells outside the given years and ages are
-    ignored.
-    """
+    """Read a group,year,age,value file, under long_csv_rows' rules, into
+    per-group matrices over the given years (rows) and ages (columns). A
+    negative value or a missing cell is a DataError; cells outside the given
+    years and ages, and other groups, are ignored."""
     cells: dict[str, dict[tuple[int, int], float]] = {}
     with _data_lines(path) as lines:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("group,"):
-                continue
-            try:
-                group, year, age, value = line.split(",")
-                key, rate = (int(year), int(age)), float(value)
-            except ValueError:
-                raise DataError(f"line {lineno}: expected group,year,age,value, got {line!r}") from None
-            if not (math.isfinite(rate) and rate >= 0.0) or key in cells.setdefault(group, {}):
-                raise DataError(f"line {lineno}: non-finite, negative or repeated value {line!r}")
-            cells[group][key] = rate
-    out = {}
-    for group, years in years_by_group.items():
-        table = cells.get(group, {})
-        try:
-            out[group] = np.array([[table[(int(y), int(a))] for a in ages] for y in years])
-        except KeyError as exc:
-            year, age = exc.args[0]
-            raise DataError(f"{path}: no value for group {group!r}, year {year}, age {age}") from None
-    return out
+        for lineno, group, year, age, (rate,) in long_csv_rows(lines, RATES_CSV_HEADER, "rates CSV"):
+            if rate < 0.0:
+                raise DataError(f"line {lineno}: value {rate!r} is negative")
+            cells.setdefault(group, {})[(year, age)] = rate
+        return {g: cell_matrix(g, cells.get(g, {}), years, ages) for g, years in years_by_group.items()}
 
 
 def run_evaluate(config: RunConfig, writer: ArtifactWriter):

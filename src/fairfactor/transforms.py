@@ -70,8 +70,7 @@ class DecisionTransform:
         if self.kind == "annuity":
             if not (_is_integer(self.term) and self.term >= 1):
                 raise ValueError(f"annuity term must be an integer of at least 1, got {self.term!r}")
-            if not 0.0 < self.discount <= 1.0:
-                raise ValueError("discount factor must lie in (0, 1]")
+            _check_discount(self.discount)
             if self.intercepts is None:
                 raise ValueError("annuity transform needs per-group intercepts")
             if self.annuity_mode not in ANNUITY_MODES:
@@ -121,6 +120,11 @@ def annuity_transform_for(data: GroupedPanel, term: int, discount: float, annuit
     return annuity_transform(term, discount, {p.group: p.intercept for p in data.panels}, annuity_mode)
 
 
+def _check_discount(v: float) -> None:
+    if not 0.0 < v <= 1.0:  # False for NaN too
+        raise ValueError(f"discount factor must lie in (0, 1], got {v!r}")
+
+
 def epv_width(N: int, n: int) -> int:
     """Number of priceable start ages: N - n + 2, except the full N when n = 1."""
     if not (_is_integer(n) and 1 <= n <= N):
@@ -134,8 +138,7 @@ def epv_annuity(m: np.ndarray, i: int, n: int, v: float) -> float:
     width = epv_width(len(m), n)
     if not 0 <= i < width:
         raise ValueError(f"start index {i} out of range [0, {width - 1}]")
-    if not 0.0 < v <= 1.0:
-        raise ValueError("discount factor must lie in (0, 1]")
+    _check_discount(v)
     total = 1.0  # certain payment now
     survival = 1.0
     for s in range(1, n):
@@ -146,6 +149,7 @@ def epv_annuity(m: np.ndarray, i: int, n: int, v: float) -> float:
 
 def epv_matrix(M: np.ndarray, n: int, v: float) -> np.ndarray:
     """Row-wise EPVs for a (..., T, N) rate array; output is (..., T, epv_width(N, n))."""
+    _check_discount(v)
     Q = 1.0 - np.clip(np.atleast_2d(np.asarray(M, dtype=float)), 0.0, 1.0)
     width = epv_width(Q.shape[-1], n)
     out = np.ones(Q.shape[:-1] + (width,))
@@ -168,6 +172,7 @@ def epv_weight_bands(M: np.ndarray, n: int, v: float) -> np.ndarray:
     bands[t, i, j] = d p_i / d m_{i+j} at the rates of row t; row i of the
     weight matrix is zero outside columns i .. i+n-2.
     """
+    _check_discount(v)
     Q = 1.0 - np.clip(np.atleast_2d(np.asarray(M, dtype=float)), 0.0, 1.0)
     T, N = Q.shape
     width = epv_width(N, n)

@@ -11,7 +11,7 @@ from conftest import hmd_text
 import fairfactor
 from fairfactor.cli import main
 from fairfactor.config import ConfigError, load_config, parse_config_text, resolve_config
-from fairfactor.dataset import DataError
+from fairfactor.dataset import DataError, panels_from_csv, synthesize
 from fairfactor.factor import FitResult, Loading
 from fairfactor.forecasting import min_history
 from fairfactor.pipeline import read_rates_csv
@@ -471,7 +471,7 @@ def test_standardized_panels_rejected_for_annuity_fit(tmp_path, capsys, hmd_file
 def test_exit_code_classification():
     from fairfactor.cli import _classify
     from fairfactor.config import ConfigError
-    from fairfactor.dataset import DataError
+    from fairfactor.dataset import DataError, panels_from_csv, synthesize
     from fairfactor.linalg import RankDeficientError
 
     assert _classify(ConfigError("x")) == 2
@@ -542,6 +542,45 @@ def test_ingest_schema(tmp_path, hmd_file):
     test_lines = (out / "panels_test.csv").read_text().splitlines()
     years = {int(row.split(",")[1]) for row in test_lines[2:]}
     assert min(years) == 1990 and max(years) == 2005
+
+
+def read_panel_file(path):
+    with open(path) as fh:
+        return panels_from_csv(fh)
+
+
+def assert_same_panels(back, panels):
+    assert [p.group for p in back] == [p.group for p in panels]
+    for q, p in zip(back, panels):
+        for name in ("years", "ages", "y", "intercept"):
+            assert np.array_equal(getattr(q, name), getattr(p, name)), (p.group, name)
+
+
+def test_pipeline_panel_files_read_back_exactly(tmp_path, hmd_file):
+    from fairfactor.pipeline import load_panels
+
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
+    out = tmp_path / "ingest"
+    assert run_cli("ingest", "--config", str(cfg), "--out", str(out)) == 0
+    data = load_panels(load_config(str(cfg), []))
+    assert_same_panels(read_panel_file(out / "panels_train.csv"), data.train.panels)
+    assert_same_panels(read_panel_file(out / "panels_test.csv"), data.test.panels)
+
+    out = tmp_path / "simulate"
+    assert run_cli("simulate", "--set", "sim_ages=6", "--set", "sim_r=2", "--seed", "11", "--out", str(out)) == 0
+    simulated, _ = synthesize(N=6, r=2, group_sizes=[60, 60], noise_scales=[2.0, 1.0], seed=11)
+    assert_same_panels(read_panel_file(out / "panels.csv"), simulated.panels)
+
+    # standardized panels are written unscaled: the file gives back ln(m) to the bit
+    out = tmp_path / "standardized"
+    assert run_cli("ingest", "--config", str(cfg), "--set", "standardize=true", "--out", str(out)) == 0
+    data = load_panels(load_config(str(cfg), ["standardize=true"]))
+    for name, panels in (("panels_train.csv", data.train.panels), ("panels_test.csv", data.test.panels)):
+        back = read_panel_file(out / name)
+        assert [q.group for q in back] == [p.group for p in panels]
+        for q, p in zip(back, panels):
+            assert p.scale is not None and q.scale is None
+            assert np.array_equal(q.log_rates(), p.log_rates())
 
 
 def test_fit_factor_loading_orthonormal(tmp_path, hmd_file):
@@ -655,8 +694,10 @@ def negate_first_age_3(rows):
         (lambda rows: [r for r in rows if not r.startswith("male,2005,15,")], "year 2005, age 15"),
         (lambda rows: rows[:2] + ["male,1990,one,0.5"] + rows[3:], "line 3"),
         (negate_first_age_3, "line 5"),  # the header, then ages 0 to 3
+        (lambda rows: rows[1:], "line 1: unexpected rates CSV header"),  # no header
+        (lambda rows: rows[:3] + rows[:1] + rows[3:], "line 4: unreadable"),  # a second header
     ],
-    ids=["shifted-years", "ragged", "malformed-row", "negative-rate"],
+    ids=["shifted-years", "ragged", "malformed-row", "negative-rate", "no-header", "second-header"],
 )
 def test_evaluate_rejects_mismatched_predictions(tmp_path, capsys, hmd_file, edit, message):
     cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
@@ -668,6 +709,19 @@ def test_evaluate_rejects_mismatched_predictions(tmp_path, capsys, hmd_file, edi
     assert code == 3 and record["error"] == "DataError"
     assert message in record["message"]
     assert not list(out.glob("metrics.*"))
+
+
+def test_predictions_may_open_with_comment_and_blank_lines(tmp_path, hmd_file):
+    from fairfactor.pipeline import load_panels
+
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\n")
+    test = load_panels(load_config(str(cfg), [])).test
+    years_by_group = {p.group: p.years for p in test.panels}
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("# written by hand\n\n" + "\n".join(observed_test_rows(cfg)) + "\n")
+    rates = read_rates_csv(str(pred_file), years_by_group, test.panels[0].ages)
+    for p in test.panels:
+        assert np.array_equal(rates[p.group], p.rates())
 
 
 def test_evaluate_real_forecast(tmp_path, hmd_file):

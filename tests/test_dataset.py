@@ -13,8 +13,8 @@ from fairfactor.dataset import (
     MortalityTable,
     Panel,
     build_panel,
+    panels_csv_lines,
     panels_from_csv,
-    panels_to_csv,
     parse_hmd_1x1,
     split_train_test,
     synthesize,
@@ -319,9 +319,7 @@ def test_grouped_panel_alignment_checks():
 
 def test_panel_csv_round_trip():
     data, _ = synthesize(N=4, r=2, group_sizes=[3, 5], noise_scales=[0.3, 0.1], seed=9)
-    buf = io.StringIO()
-    panels_to_csv(data.panels, buf)
-    buf.seek(0)
+    buf = io.StringIO("\n".join(panels_csv_lines(data.panels)) + "\n")
     back = panels_from_csv(buf)
     by_group = {p.group: p for p in back}
     for p in data.panels:
@@ -335,9 +333,7 @@ def test_panel_csv_round_trip():
 
 def panel_csv_lines():
     data, _ = synthesize(N=5, r=1, group_sizes=[3, 4], noise_scales=[0.3, 0.1], seed=9)
-    buf = io.StringIO()
-    panels_to_csv(data.panels, buf)
-    return buf.getvalue().splitlines()  # line 1 is the header, line k is lines[k - 1]
+    return list(panels_csv_lines(data.panels))  # line 1 is the header, line k is lines[k - 1]
 
 
 def read_panel_lines(lines):
@@ -439,8 +435,17 @@ def test_mortality_table_rejects_columns_of_different_lengths():
         (dict(intercept=np.zeros(2)), "inconsistent shapes"),
         (dict(scale=np.ones(2)), "scale length mismatch"),
         (dict(y=np.array([[0.0, np.nan, 0.0]] * 2)), "non-finite entries"),
+        (dict(intercept=np.array([np.nan, 0.0, 0.0])), "non-finite entries in y or the intercept"),
+        (dict(intercept=np.array([0.0, 0.0, -np.inf])), "non-finite entries in y or the intercept"),
+        (dict(scale=np.array([1.0, 0.0, 1.0])), "scale is not finite and positive"),
+        (dict(scale=np.array([1.0, -2.0, 1.0])), "scale is not finite and positive"),
+        (dict(scale=np.array([1.0, np.inf, 1.0])), "scale is not finite and positive"),
+        (dict(scale=np.array([np.nan, 1.0, 1.0])), "scale is not finite and positive"),
     ],
-    ids=["shapes", "scale-length", "non-finite"],
+    ids=[
+        "shapes", "scale-length", "non-finite", "nan-intercept", "infinite-intercept",
+        "zero-scale", "negative-scale", "infinite-scale", "nan-scale",
+    ],
 )
 def test_panel_rejects_inconsistent_fields(change, fragment):
     fields = dict(group="g", years=np.arange(2), ages=np.arange(3), y=np.zeros((2, 3)), intercept=np.zeros(3))

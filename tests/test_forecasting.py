@@ -196,6 +196,26 @@ def test_fit_drift_ar_with_no_finite_candidate_is_rejected():
         fit_drift_ar(np.array([1e300, -1e300] * 10), p_max=1, d_max=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_fit_drift_ar_rejects_a_non_finite_series(bad, capfd):
+    # an all-NaN series made LAPACK print to stderr and raise LinAlgError; one
+    # inf gave "no admissible drift-AR candidate"
+    series = np.arange(20.0)
+    series[7] = bad
+    for values in (series, np.full(20, bad)):
+        with pytest.raises(ValueError, match="the drift-AR series holds a non-finite value"):
+            fit_drift_ar(values, 1, 1)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_forecast_rejects_a_non_finite_history(bad):
+    # forecast(model, [1, nan, 2], 2) used to return [2.1, 2.2]
+    model = DriftARModel(0, 1, 0.1, (), 1.0, 0.0)
+    with pytest.raises(ValueError, match="the forecast history holds a non-finite value"):
+        forecast(model, np.array([1.0, bad, 2.0]), 2)
+
+
 def test_forecast_rejects_a_history_shorter_than_the_model():
     model = DriftARModel(2, 1, 0.0, (0.5, 0.1), 1.0, 0.0)
     with pytest.raises(ValueError, match="history of length 2 too short"):

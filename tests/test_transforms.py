@@ -11,7 +11,9 @@ from fairfactor.transforms import (
     elementwise_transform,
     epv_annuity,
     epv_matrix,
+    epv_weight_bands,
     epv_weights,
+    epv_weights_stack,
     epv_width,
     identity_transform,
 )
@@ -96,6 +98,23 @@ def test_epv_rejects_bad_arguments():
         epv_annuity(m, 0, 6, 1.0)
     with pytest.raises(ValueError):
         epv_annuity(m, 0, 2, 1.5)
+
+
+@pytest.mark.parametrize("v", [2.0, 0.0, -0.5, np.nan, np.inf])
+def test_epv_kernels_reject_a_discount_outside_the_unit_interval(v):
+    # epv_matrix used to price v = 2 at 6.04 and v = nan at NaN
+    M = np.full((1, 4), 0.1)
+    kernels = [
+        lambda: epv_matrix(M, 3, v),
+        lambda: epv_weight_bands(M, 3, v),
+        lambda: epv_weights_stack(M, 3, v),
+        lambda: epv_weights(M[0], 3, v),
+        lambda: epv_annuity(M[0], 0, 3, v),
+        lambda: annuity_transform(3, v, {"g": np.zeros(4)}),
+    ]
+    for kernel in kernels:
+        with pytest.raises(ValueError, match=r"discount factor must lie in \(0, 1\]"):
+            kernel()
 
 
 def test_epv_clips_rates():
