@@ -59,10 +59,6 @@ class MortalityTable:
         if len(self.ages) != n or any(len(v) != n for v in self.rates.values()):
             raise DataError("year/age/rate columns have mismatched lengths")
 
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(self.rates)
-
 
 def _parse_rate(token: str, lineno: int) -> float:
     if token == ".":
@@ -163,10 +159,10 @@ class Panel:
     def n_ages(self) -> int:
         return self.y.shape[1]
 
-    def log_rates(self) -> np.ndarray:
-        """Uncentered log rates ln(m)."""
-        y = self.y if self.scale is None else self.y * self.scale
-        return y + self.intercept
+    def log_rates(self, y: np.ndarray | None = None) -> np.ndarray:
+        """Log rates ln(m) = y * scale + intercept of (..., N) centered values, the panel's y by default."""
+        y = self.y if y is None else y
+        return (y if self.scale is None else y * self.scale) + self.intercept
 
     def rates(self) -> np.ndarray:
         """Original death rates m, recovered exactly from y and the intercept."""
@@ -212,6 +208,12 @@ class GroupedPanel:
 
     def stacked(self) -> np.ndarray:
         return np.vstack([p.y for p in self.panels])
+
+
+def _age_scale(log_m: np.ndarray) -> np.ndarray:
+    """Per-age standard deviation of (T, N) log rates; constant ages stay unscaled (1)."""
+    scale = log_m.std(axis=0)
+    return np.where(scale > 0.0, scale, 1.0)
 
 
 def build_panel(
@@ -261,8 +263,7 @@ def build_panel(
     y = log_m - intercept
     scale = None
     if standardize:
-        scale = log_m.std(axis=0)
-        scale = np.where(scale > 0.0, scale, 1.0)  # constant ages stay unscaled
+        scale = _age_scale(log_m)
         y = y / scale
     return Panel(group=group, years=year_axis, ages=age_axis, y=y, intercept=intercept, scale=scale)
 
@@ -270,9 +271,10 @@ def build_panel(
 def split_train_test(panel: Panel, cutoff: int) -> tuple[Panel, Panel]:
     """Split at a year strictly inside the panel's range.
 
-    Train keeps years <= cutoff. Both halves are re-centered so that the
-    intercept is the per-age mean of ln(m) over the TRAINING years only; the
-    test panel reuses that training intercept.
+    Train keeps years <= cutoff. Both halves are re-centered, and standardized
+    ones re-scaled, by the per-age mean and standard deviation of ln(m) over
+    the TRAINING years only, as build_panel does; the test panel reuses the
+    training intercept and scale.
     """
     years = panel.years
     if not (years[0] <= cutoff < years[-1]):
@@ -281,15 +283,15 @@ def split_train_test(panel: Panel, cutoff: int) -> tuple[Panel, Panel]:
         )
     train_mask = years <= cutoff
     shift = panel.y[train_mask].mean(axis=0)
+    y, scale = panel.y - shift, panel.scale
     # ln(m) = y*scale + a, so the train-mean intercept is a + scale*mean(y_train)
-    step = shift if panel.scale is None else shift * panel.scale
-    new_intercept = panel.intercept + step
-    train = Panel(
-        panel.group, years[train_mask], panel.ages, panel.y[train_mask] - shift, new_intercept, panel.scale
-    )
-    test = Panel(
-        panel.group, years[~train_mask], panel.ages, panel.y[~train_mask] - shift, new_intercept, panel.scale
-    )
+    intercept = panel.intercept + (shift if scale is None else shift * scale)
+    if scale is not None:
+        y = y * scale  # ln(m) minus the training intercept
+        scale = _age_scale(y[train_mask])
+        y = y / scale
+    train = Panel(panel.group, years[train_mask], panel.ages, y[train_mask], intercept, scale)
+    test = Panel(panel.group, years[~train_mask], panel.ages, y[~train_mask], intercept, scale)
     return train, test
 
 

@@ -261,7 +261,8 @@ def fair_factor_dual(data: GroupedPanel, r: int, penalty: float) -> FactorDual:
 
     def objective(V):
         e = sq - [np.einsum("ij,ij->", V, Sk @ V) for Sk in S]
-        return float(w @ e) + penalty * (e[0] - e[1]) ** 2, e[0] - e[1]
+        with np.errstate(over="ignore"):  # an overflowing value loses to every finite one
+            return float(w @ e) + penalty * (e[0] - e[1]) ** 2, e[0] - e[1]
 
     lo, hi = -2.0 * penalty * sq[1], 2.0 * penalty * sq[0]  # the supergradient is >= 0 at lo, <= 0 at hi
     mu, step, best, bound = 0.0, hi - lo, np.inf, -np.inf
@@ -281,6 +282,8 @@ def fair_factor_dual(data: GroupedPanel, r: int, penalty: float) -> FactorDual:
         newton = mu + slope / (2.0 * (coupling**2 / np.where(gaps > 0.0, gaps, np.inf)).sum() + inv)
         good = lo < newton < hi and abs(newton - mu) <= 0.5 * step
         step, mu = (abs(newton - mu), newton) if good else (0.5 * (hi - lo), 0.5 * (lo + hi))
+    if best == np.inf:
+        raise FloatingPointError(f"every objective the dual evaluated overflows at penalty {penalty:g}")
     if r == 1 and N > 1 and _relative_gap(best, bound) > _DUAL_RTOL:
         # near a tie the optimum mixes the top two eigenvectors Q: in the
         # eigenbasis of D on their span, take the mixes u with a zero

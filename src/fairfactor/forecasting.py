@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import GroupedPanel
 from .factor import FitResult
 from .linalg import _is_integer
 
@@ -163,44 +164,38 @@ def fit_factor_models(
 class ForecastResult:
     rates: dict[str, np.ndarray]  # group -> (h, N)
     log_rates: dict[str, np.ndarray]
-    factors: dict[str, np.ndarray]  # group -> (h, r) forecast factor paths
     clipped: int
 
 
 def predict_mortality(
-    fit: FitResult,
-    models: dict[str, list[DriftARModel]],
-    intercepts: dict[str, np.ndarray],
-    h: int,
-    scales: dict[str, np.ndarray] | None = None,
+    fit: FitResult, models: dict[str, list[DriftARModel]], panels: GroupedPanel, h: int
 ) -> ForecastResult:
     """Forecast factors per group, map through the loading, exponentiate.
 
-    Rates are exp(loading @ factor + intercept) clipped into [0, 1] with the
-    clip count reported.
+    Each group's forecast centered values F L^T become log rates through its
+    training panel in `panels` (Panel.log_rates); rates are their
+    exponentials clipped into [0, 1], with the clip count reported.
     """
     L = fit.loading.matrix
+    by_group = {p.group: p for p in panels.panels}
     clipped = 0
     rates: dict[str, np.ndarray] = {}
     logs: dict[str, np.ndarray] = {}
-    paths: dict[str, np.ndarray] = {}
     for f in fit.factors:
         group = f.group
         if group not in models:
             raise KeyError(f"no forecasting models for group {group!r}")
+        if group not in by_group:
+            raise KeyError(f"no training panel for group {group!r}")
         cols = models[group]
         if len(cols) != f.matrix.shape[1]:
             raise ValueError(
                 f"group {group!r} has {f.matrix.shape[1]} factor columns but {len(cols)} models"
             )
         future = np.column_stack([forecast(cols[j], f.matrix[:, j], h) for j in range(len(cols))])
-        y_hat = future @ L.T
-        if scales is not None and scales.get(group) is not None:
-            y_hat = y_hat * scales[group]
-        log_m = y_hat + np.asarray(intercepts[group], dtype=float)
+        log_m = by_group[group].log_rates(future @ L.T)
         m = np.exp(log_m)
         clipped += int((m > 1.0).sum())  # exp is positive: only rates above 1 clip
         rates[group] = np.clip(m, 0.0, 1.0)
         logs[group] = log_m
-        paths[group] = future
-    return ForecastResult(rates=rates, log_rates=logs, factors=paths, clipped=clipped)
+    return ForecastResult(rates=rates, log_rates=logs, clipped=clipped)

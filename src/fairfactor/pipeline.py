@@ -193,9 +193,7 @@ def fit_and_forecast(config: RunConfig, data: PreparedData, model: str, penalty:
     """
     fit = fit_model(config, model, data.train, penalty)
     models = fit_factor_models(fit)
-    intercepts = {p.group: p.intercept for p in data.train.panels}
-    scales = {p.group: p.scale for p in data.train.panels}
-    return fit, predict_mortality(fit, models, intercepts, horizon, scales=scales), models
+    return fit, predict_mortality(fit, models, data.train, horizon), models
 
 
 def _epvs(config: RunConfig, rates: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -696,8 +696,9 @@ def negate_first_age_3(rows):
         (negate_first_age_3, "line 5"),  # the header, then ages 0 to 3
         (lambda rows: rows[1:], "line 1: unexpected rates CSV header"),  # no header
         (lambda rows: rows[:3] + rows[:1] + rows[3:], "line 4: unreadable"),  # a second header
+        (lambda rows: ["# no rows"], "no rates CSV header"),
     ],
-    ids=["shifted-years", "ragged", "malformed-row", "negative-rate", "no-header", "second-header"],
+    ids=["shifted-years", "ragged", "malformed-row", "negative-rate", "no-header", "second-header", "no-rows"],
 )
 def test_evaluate_rejects_mismatched_predictions(tmp_path, capsys, hmd_file, edit, message):
     cfg = write_cfg(tmp_path, f"data={hmd_file}\n")

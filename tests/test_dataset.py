@@ -268,6 +268,24 @@ def test_split_standardized_round_trip():
     assert np.allclose(train.intercept, np.log(m[:8]).mean(axis=0), atol=1e-12)
 
 
+def test_split_standardizes_by_the_training_years():
+    # the scale was the whole window's spread, so training y had per-age
+    # standard deviations of 0.69-0.82 at ages 0-4
+    table = parse_hmd_1x1(hmd_text())
+    p = build_panel(table, "male", (0, 15), (1950, 2005), standardize=True)
+    train, test = split_train_test(p, 1990)
+    log_m = np.log(build_panel(table, "male", (0, 15), (1950, 2005)).rates())
+    assert np.allclose(train.scale, log_m[:41].std(axis=0), rtol=1e-12)
+    assert np.allclose(train.y.std(axis=0), 1.0, rtol=1e-12)
+    assert np.array_equal(test.scale, train.scale)
+    assert np.allclose(test.rates(), np.exp(log_m[41:]), rtol=1e-12)
+    unscaled = build_panel(table, "male", (0, 15), (1950, 2005))
+    shift = unscaled.y[:41].mean(axis=0)
+    train, test = split_train_test(unscaled, 1990)
+    assert train.scale is None and np.array_equal(train.intercept, unscaled.intercept + shift)
+    assert np.array_equal(train.y, unscaled.y[:41] - shift) and np.array_equal(test.y, unscaled.y[41:] - shift)
+
+
 def test_split_boundary_and_round_trip():
     t = synthetic_table(range(2000, 2005), [0], lambda y, a: 0.1)
     p = build_panel(t, "male", (0, 0), (2000, 2004))

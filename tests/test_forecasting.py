@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fairfactor.dataset import synthesize
+from fairfactor.dataset import GroupedPanel, synthesize
 from fairfactor.factor import fit_pca
 from fairfactor.forecasting import (
     DriftARModel,
     fit_drift_ar,
     fit_factor_models,
     forecast,
+    min_history,
     predict_mortality,
 )
 from fairfactor.optimizer import OptimizerOptions, fit_fair_factor
@@ -102,23 +105,29 @@ def test_predict_mortality_constant_factors():
     fit = fit_pca(data, 1)
     # constant factor path: forecasts repeat the last fitted log rates
     models = {g: [DriftARModel(0, 1, 0.0, (), 1.0, 0.0)] for g in data.groups}
-    intercepts = {p.group: p.intercept for p in data.panels}
-    out = predict_mortality(fit, models, intercepts, h=4)
+    out = predict_mortality(fit, models, data, h=4)
     for p in data.panels:
         last_log = (p.y @ fit.loading.projector())[-1] + p.intercept
+        assert np.allclose(out.log_rates[p.group], np.tile(last_log, (4, 1)), atol=1e-10)
+    # a standardized panel's forecasts are scaled back before its intercept is added
+    scale = np.linspace(0.5, 2.0, 6)
+    scaled = GroupedPanel(tuple(replace(p, scale=scale) for p in data.panels))
+    out = predict_mortality(fit, models, scaled, h=4)
+    for p in data.panels:
+        last_log = (p.y @ fit.loading.projector())[-1] * scale + p.intercept
         assert np.allclose(out.log_rates[p.group], np.tile(last_log, (4, 1)), atol=1e-10)
 
 
 def test_predict_mortality_monotone_decline():
     data, _ = synthesize(N=5, r=1, group_sizes=[25, 25], noise_scales=[0.0, 0.0], seed=4)
     fit = fit_pca(data, 1)
-    intercepts = {p.group: np.full(5, -3.0) for p in data.panels}
+    data = GroupedPanel(tuple(replace(p, intercept=np.full(5, -3.0)) for p in data.panels))
     col = fit.loading.matrix[:, 0]
     drift = -0.2 if np.all(col > 0) else 0.2 if np.all(col < 0) else None
     if drift is None:  # mixed-sign loading: pick a sign and check per age below
         drift = -0.2
     models = {g: [DriftARModel(0, 1, drift, (), 1.0, 0.0)] for g in data.groups}
-    out = predict_mortality(fit, models, intercepts, h=5)
+    out = predict_mortality(fit, models, data, h=5)
     for g, log_m in out.log_rates.items():
         diffs = np.diff(log_m, axis=0)
         expected = np.sign(col * drift)
@@ -134,7 +143,7 @@ def test_predict_mortality_closed_form_oracle():
     models = fit_factor_models(fit, p_max=0, d_max=1)
     intercepts = {p.group: p.intercept for p in data.panels}
     h = 6
-    out = predict_mortality(fit, models, intercepts, h=h)
+    out = predict_mortality(fit, models, data, h=h)
     for f in fit.factors:
         g = f.group
         model = models[g][0]
@@ -154,9 +163,9 @@ def test_predict_mortality_closed_form_oracle():
 def test_predict_mortality_clipping_counted():
     data, _ = synthesize(N=4, r=1, group_sizes=[30, 30], noise_scales=[0.0, 0.0], seed=6)
     fit = fit_pca(data, 1)
-    intercepts = {p.group: np.full(4, 5.0) for p in data.panels}  # forces rates > 1
+    data = GroupedPanel(tuple(replace(p, intercept=np.full(4, 5.0)) for p in data.panels))  # forces rates > 1
     models = {g: [DriftARModel(0, 1, 0.0, (), 1.0, 0.0)] for g in data.groups}
-    out = predict_mortality(fit, models, intercepts, h=2)
+    out = predict_mortality(fit, models, data, h=2)
     assert out.clipped > 0
     for m in out.rates.values():
         assert np.all((0.0 <= m) & (m <= 1.0))
@@ -216,6 +225,17 @@ def test_forecast_rejects_a_non_finite_history(bad):
         forecast(model, np.array([1.0, bad, 2.0]), 2)
 
 
+def test_fit_drift_ar_skips_a_candidate_with_no_residual_degree_of_freedom():
+    # at min_history() points the (p=5, d=2) candidate fits 7 parameters to 8
+    # rows, and its AICc correction would divide by zero; on this walk that
+    # candidate's AR polynomial is stationary, so only the skip keeps it out
+    series = np.cumsum(np.random.default_rng(1).standard_normal(min_history()))
+    assert len(series) == 15
+    model = fit_drift_ar(series)
+    assert (model.order, model.differencing) != (5, 2)
+    assert np.isfinite(model.aicc)
+
+
 def test_forecast_rejects_a_history_shorter_than_the_model():
     model = DriftARModel(2, 1, 0.0, (0.5, 0.1), 1.0, 0.0)
     with pytest.raises(ValueError, match="history of length 2 too short"):
@@ -226,8 +246,10 @@ def test_predict_mortality_rejects_missing_or_mismatched_models():
     data, _ = synthesize(N=5, r=2, group_sizes=[20, 20], noise_scales=[0.1, 0.1], seed=4)
     fit = fit_pca(data, 2)
     models = fit_factor_models(fit)
-    intercepts = {p.group: p.intercept for p in data.panels}
     with pytest.raises(KeyError, match="no forecasting models for group 'g2'"):
-        predict_mortality(fit, {"g1": models["g1"]}, intercepts, 3)
+        predict_mortality(fit, {"g1": models["g1"]}, data, 3)
     with pytest.raises(ValueError, match="group 'g1' has 2 factor columns but 1 models"):
-        predict_mortality(fit, {**models, "g1": models["g1"][:1]}, intercepts, 3)
+        predict_mortality(fit, {**models, "g1": models["g1"][:1]}, data, 3)
+    other = GroupedPanel((data.panels[0], replace(data.panels[1], group="g3")))
+    with pytest.raises(KeyError, match="no training panel for group 'g2'"):
+        predict_mortality(fit, models, other, 3)

@@ -820,6 +820,8 @@ def huge_penalty_fits(penalty):
     yield lambda: fit_fair_decision(annuity, 1, OptimizerOptions(penalty=penalty), g)
     three, _ = synthesize(N=10, r=1, group_sizes=[20, 20, 20], noise_scales=[2.0, 1.0, 0.5], seed=0)
     yield lambda: fit_fair_factor(three, 1, OptimizerOptions(penalty=penalty))
+    two, _ = synthesize(N=10, r=1, group_sizes=[20, 20], noise_scales=[2.0, 1.0], seed=0)
+    yield lambda: fit_fair_factor(two, 1, OptimizerOptions(penalty=penalty))
 
 
 def test_a_gradient_whose_squares_overflow_still_descends():
