@@ -58,7 +58,6 @@ _SCHEMA: dict[str, tuple] = {
     "year_min": (lambda s: None if s.strip() == "" else int(s), None, None),
     "year_max": (lambda s: None if s.strip() == "" else int(s), None, None),
     "train_cutoff": (int, 1989, None),
-    "standardize": (_parse_bool, False),
     "model": (str, "factor"),
     "r": (int, 1, 1),
     "lambda": (float, 0.0, 0),

@@ -1,9 +1,8 @@
 """HMD 1x1 life-table ingestion, centered log-mortality panels, synthetic panels, long CSV files.
 
 A panel stores y[t, i] = ln(m[t, i]) - a[i] for one group, where the intercept
-a is the per-age mean of the log rates over the panel's (training) years. An
-optional per-age scale divides y after centering; it is stored so the original
-rates can be recovered exactly.
+a is the per-age mean of the log rates over the panel's (training) years, so
+ln m = y + a gives the original rates back exactly.
 """
 
 import math
@@ -138,18 +137,13 @@ class Panel:
     ages: np.ndarray
     y: np.ndarray  # (T, N) centered log rates
     intercept: np.ndarray  # (N,)
-    scale: np.ndarray | None = None  # (N,) optional per-age standardization
 
     def __post_init__(self):
         T, N = self.y.shape
         if len(self.years) != T or len(self.ages) != N or len(self.intercept) != N:
             raise DataError(f"panel {self.group!r}: inconsistent shapes")
-        if self.scale is not None and len(self.scale) != N:
-            raise DataError(f"panel {self.group!r}: scale length mismatch")
         if not (np.isfinite(self.y).all() and np.isfinite(self.intercept).all()):
             raise DataError(f"panel {self.group!r}: non-finite entries in y or the intercept")
-        if self.scale is not None and not ((self.scale > 0.0) & (self.scale < np.inf)).all():
-            raise DataError(f"panel {self.group!r}: scale is not finite and positive")
 
     @property
     def n_years(self) -> int:
@@ -160,9 +154,8 @@ class Panel:
         return self.y.shape[1]
 
     def log_rates(self, y: np.ndarray | None = None) -> np.ndarray:
-        """Log rates ln(m) = y * scale + intercept of (..., N) centered values, the panel's y by default."""
-        y = self.y if y is None else y
-        return (y if self.scale is None else y * self.scale) + self.intercept
+        """Log rates ln(m) = y + intercept of (..., N) centered values, the panel's y by default."""
+        return (self.y if y is None else y) + self.intercept
 
     def rates(self) -> np.ndarray:
         """Original death rates m, recovered exactly from y and the intercept."""
@@ -170,7 +163,7 @@ class Panel:
 
     def take_rows(self, rows: np.ndarray) -> "Panel":
         """Row subset sharing this panel's intercept (no re-centering)."""
-        return Panel(self.group, self.years[rows], self.ages, self.y[rows], self.intercept, self.scale)
+        return Panel(self.group, self.years[rows], self.ages, self.y[rows], self.intercept)
 
 
 @dataclass(frozen=True)
@@ -210,25 +203,11 @@ class GroupedPanel:
         return np.vstack([p.y for p in self.panels])
 
 
-def _age_scale(log_m: np.ndarray) -> np.ndarray:
-    """Per-age standard deviation of (T, N) log rates; constant ages stay unscaled (1)."""
-    scale = log_m.std(axis=0)
-    return np.where(scale > 0.0, scale, 1.0)
-
-
-def build_panel(
-    table: MortalityTable,
-    group: str,
-    ages: tuple[int, int],
-    years: tuple[int, int],
-    standardize: bool = False,
-) -> Panel:
+def build_panel(table: MortalityTable, group: str, ages: tuple[int, int], years: tuple[int, int]) -> Panel:
     """Build a centered log-mortality panel over inclusive age/year windows.
 
     Every cell in the window must be present with a strictly positive rate.
-    The intercept is the per-age mean of ln(m) over the window's years; with
-    standardize=True the centered values are also divided by the per-age
-    standard deviation (stored in the panel for exact inversion).
+    The intercept is the per-age mean of ln(m) over the window's years.
     """
     if group not in table.rates:
         raise DataError(f"unknown group {group!r}; table has {sorted(table.rates)}")
@@ -260,21 +239,15 @@ def build_panel(
         )
     log_m = np.log(m)
     intercept = log_m.mean(axis=0)
-    y = log_m - intercept
-    scale = None
-    if standardize:
-        scale = _age_scale(log_m)
-        y = y / scale
-    return Panel(group=group, years=year_axis, ages=age_axis, y=y, intercept=intercept, scale=scale)
+    return Panel(group=group, years=year_axis, ages=age_axis, y=log_m - intercept, intercept=intercept)
 
 
 def split_train_test(panel: Panel, cutoff: int) -> tuple[Panel, Panel]:
     """Split at a year strictly inside the panel's range.
 
-    Train keeps years <= cutoff. Both halves are re-centered, and standardized
-    ones re-scaled, by the per-age mean and standard deviation of ln(m) over
-    the TRAINING years only, as build_panel does; the test panel reuses the
-    training intercept and scale.
+    Train keeps years <= cutoff. Both halves are re-centered by the per-age
+    mean of ln(m) over the TRAINING years only, as build_panel does; the test
+    panel reuses the training intercept.
     """
     years = panel.years
     if not (years[0] <= cutoff < years[-1]):
@@ -283,15 +256,10 @@ def split_train_test(panel: Panel, cutoff: int) -> tuple[Panel, Panel]:
         )
     train_mask = years <= cutoff
     shift = panel.y[train_mask].mean(axis=0)
-    y, scale = panel.y - shift, panel.scale
-    # ln(m) = y*scale + a, so the train-mean intercept is a + scale*mean(y_train)
-    intercept = panel.intercept + (shift if scale is None else shift * scale)
-    if scale is not None:
-        y = y * scale  # ln(m) minus the training intercept
-        scale = _age_scale(y[train_mask])
-        y = y / scale
-    train = Panel(panel.group, years[train_mask], panel.ages, y[train_mask], intercept, scale)
-    test = Panel(panel.group, years[~train_mask], panel.ages, y[~train_mask], intercept, scale)
+    # ln(m) = y + a, so the train-mean intercept is a + mean(y_train)
+    y, intercept = panel.y - shift, panel.intercept + shift
+    train = Panel(panel.group, years[train_mask], panel.ages, y[train_mask], intercept)
+    test = Panel(panel.group, years[~train_mask], panel.ages, y[~train_mask], intercept)
     return train, test
 
 
@@ -395,12 +363,10 @@ def cell_matrix(group: str, cells: dict[tuple[int, int], float], years, ages) ->
 
 
 def panels_csv_lines(panels: Iterable[Panel]) -> Iterator[str]:
-    """Panels' long CSV lines. Standardized panels are written unscaled
-    (log_rate_centered = ln(m) - intercept) so the file round-trips exactly;
-    each age's intercept is repeated on every year's line."""
+    """Panels' long CSV lines, log_rate_centered = ln(m) - intercept, so the
+    file round-trips exactly; each age's intercept is repeated on every year's line."""
     return long_csv_lines(PANEL_CSV_HEADER, (
-        (p.group, p.years, p.ages, (p.y if p.scale is None else p.y * p.scale, np.broadcast_to(p.intercept, p.y.shape)))
-        for p in panels
+        (p.group, p.years, p.ages, (p.y, np.broadcast_to(p.intercept, p.y.shape))) for p in panels
     ))
 
 

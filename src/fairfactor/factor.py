@@ -89,11 +89,13 @@ class FitResult:
     degenerate_spectrum: bool
     iteration_log: tuple[dict, ...] = field(default=(), repr=False)
     clipped_rates: int = 0
-    # the kept run's stop (small_change | no_descent | max_iterations),
-    # the Riemannian gradient norm at the returned loading and the candidate
-    # loadings the kept run priced; None, None, 0 for PCA and older files
+    # the kept run's stop (small_change | no_descent | max_iterations), the
+    # Riemannian gradient norm at the returned loading, that norm times ||L||_F
+    # over the final |objective| (None where the objective is 0) and the candidate
+    # loadings the kept run priced; None, None, None, 0 for PCA and older files
     stop_reason: str | None = None
     gradient_norm: float | None = None
+    relative_gradient: float | None = None
     evaluations: int = 0
     # two-group fits in trace form: the dual's lower bound on the objective and
     # the final objective's relative distance above it; None for other fits, PCA and older files

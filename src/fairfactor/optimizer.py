@@ -507,6 +507,7 @@ def _fit(data: GroupedPanel, r: int, opts: OptimizerOptions, g: DecisionTransfor
         iterations=best.iterations, converged=best.converged, degenerate_spectrum=pca.degenerate_spectrum,
         iteration_log=tuple(best.log), clipped_rates=clipped, stop_reason=best.stop_reason,
         gradient_norm=gradient_norm, evaluations=best.evaluations,
+        relative_gradient=None if best.objective == 0.0 else gradient_norm * _norm(M) / abs(best.objective),
         lower_bound=None if dual is None else dual.lower_bound,
         certified_gap=None if dual is None else _relative_gap(best.objective, dual.lower_bound),
     )

@@ -138,13 +138,7 @@ def load_panels(config: RunConfig, min_train_years: int = 1) -> PreparedData:
             raise DataError(f"{path}: no data rows")
         y_lo = config.year_min if config.year_min is not None else int(years.min())
         y_hi = config.year_max if config.year_max is not None else int(years.max())
-        panel = build_panel(
-            table,
-            group,
-            ages=(config.age_min, config.age_max),
-            years=(y_lo, y_hi),
-            standardize=config.standardize,
-        )
+        panel = build_panel(table, group, ages=(config.age_min, config.age_max), years=(y_lo, y_hi))
         lo = y_lo + min_train_years - 1
         if not lo <= config.train_cutoff < y_hi:
             need = f"; forecasting needs at least {min_train_years} training years" if min_train_years > 1 else ""

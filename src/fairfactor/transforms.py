@@ -109,12 +109,6 @@ def annuity_transform(
 
 def annuity_transform_for(data: GroupedPanel, term: int, discount: float, annuity_mode: str = "taylor") -> DecisionTransform:
     """Annuity transform carrying the panels' own intercepts."""
-    for p in data.panels:
-        if p.scale is not None:
-            raise ValueError(
-                "annuity pricing assumes unscaled panels (ln m = y + intercept); "
-                f"group {p.group!r} was standardized"
-            )
     if term > data.n_ages:
         raise ValueError(f"term {term} exceeds the {data.n_ages} available ages")
     return annuity_transform(term, discount, {p.group: p.intercept for p in data.panels}, annuity_mode)

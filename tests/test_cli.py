@@ -73,6 +73,7 @@ def test_config_validation_errors():
         "year_min=2000\nyear_max=1990",
         "annuity_mode=bogus",
         "line_search=exact-grid",
+        "standardize=true",
         # the default model, factor, runs no optimizer and no cv, but these can never be valid
         "max_iterations=0",
         "restarts=0",
@@ -94,6 +95,15 @@ def test_readme_example_config_resolves():
     assert config.model == "fair-decision"
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    rates, groups = namespace["rates"], namespace["data"].groups
+    assert sorted(rates) == sorted(groups) and all(rates[g].shape == (10, 40) for g in groups)
+
+
 def test_per_group_data_overrides_pick_each_group_file():
     config = resolve_config(parse_config_text("data = both.txt\ndata.female = female.txt\n"))
     assert config.data_path_for("male") == "both.txt"
@@ -102,13 +112,13 @@ def test_per_group_data_overrides_pick_each_group_file():
 
 @pytest.mark.parametrize("raw", ["false", "No", "0", "OFF"])
 def test_config_reads_every_false_spelling(raw):
-    config = resolve_config(parse_config_text(f"standardize = true\ncv_random_folds = {raw}\n"))
-    assert config.standardize is True and config.cv_random_folds is False
+    assert resolve_config(parse_config_text("cv_random_folds = true\n")).cv_random_folds is True
+    assert resolve_config(parse_config_text(f"cv_random_folds = {raw}\n")).cv_random_folds is False
 
 
 def test_config_rejects_a_value_that_is_not_boolean():
     with pytest.raises(ConfigError, match="expected a boolean, got 'maybe'"):
-        resolve_config(parse_config_text("standardize = maybe\n"))
+        resolve_config(parse_config_text("cv_random_folds = maybe\n"))
 
 
 def test_run_config_has_no_unknown_attribute():
@@ -130,9 +140,9 @@ def test_no_data_file_for_a_group_is_a_config_error(tmp_path, capsys, hmd_file):
 
 
 def test_override_without_equals_is_a_config_error(tmp_path, capsys):
-    assert run_cli("ingest", "--set", "standardize", "--out", str(tmp_path / "o")) == 2
+    assert run_cli("ingest", "--set", "cv_random_folds", "--out", str(tmp_path / "o")) == 2
     record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ConfigError" and "override 'standardize' is not key=value" in record["message"]
+    assert record["error"] == "ConfigError" and "override 'cv_random_folds' is not key=value" in record["message"]
 
 
 def test_jobs_flag_reaches_the_config(tmp_path, capsys, hmd_file):
@@ -460,14 +470,6 @@ def test_missing_out_dir_is_config_error(tmp_path, capsys, hmd_file):
     assert code == 2
 
 
-def test_standardized_panels_rejected_for_annuity_fit(tmp_path, capsys, hmd_file):
-    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=fair-decision\nstandardize=true\n")
-    code = run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert "unscaled" in record["message"]
-
-
 def test_exit_code_classification():
     from fairfactor.cli import _classify
     from fairfactor.config import ConfigError
@@ -571,17 +573,6 @@ def test_pipeline_panel_files_read_back_exactly(tmp_path, hmd_file):
     simulated, _ = synthesize(N=6, r=2, group_sizes=[60, 60], noise_scales=[2.0, 1.0], seed=11)
     assert_same_panels(read_panel_file(out / "panels.csv"), simulated.panels)
 
-    # standardized panels are written unscaled: the file gives back ln(m) to the bit
-    out = tmp_path / "standardized"
-    assert run_cli("ingest", "--config", str(cfg), "--set", "standardize=true", "--out", str(out)) == 0
-    data = load_panels(load_config(str(cfg), ["standardize=true"]))
-    for name, panels in (("panels_train.csv", data.train.panels), ("panels_test.csv", data.test.panels)):
-        back = read_panel_file(out / name)
-        assert [q.group for q in back] == [p.group for p in panels]
-        for q, p in zip(back, panels):
-            assert p.scale is not None and q.scale is None
-            assert np.array_equal(q.log_rates(), p.log_rates())
-
 
 def test_fit_factor_loading_orthonormal(tmp_path, hmd_file):
     cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=factor\nlambda=3\n")
@@ -628,16 +619,10 @@ def test_forecast_and_price_schemas(tmp_path, hmd_file):
     assert all(1.0 <= v <= max_epv + 1e-9 for v in values)
     ages = {int(row.split(",")[2]) for row in lines[2:]}
     assert max(ages) == 15 - 4 + 2  # N - n + 2 start ages
-
-
-def test_price_accepts_standardized_panels(tmp_path, hmd_file):
-    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel=factor\nstandardize=true\n")
-    forecast_out, price_out = tmp_path / "f", tmp_path / "p"
-    assert run_cli("forecast", "--config", str(cfg), "--out", str(forecast_out)) == 0
-    assert run_cli("price", "--config", str(cfg), "--out", str(price_out)) == 0
-    years = {g: np.arange(1990, 2006) for g in ("male", "female")}
-    rates = read_rates_csv(str(forecast_out / "forecast_rates.csv"), years, np.arange(16))
-    epvs = read_rates_csv(str(price_out / "epv.csv"), years, np.arange(14))
+    # price's EPVs are the forecast rates priced
+    years = {g: np.arange(1990, 1995) for g in ("male", "female")}
+    rates = read_rates_csv(str(out / "forecast_rates.csv"), years, np.arange(16))
+    epvs = read_rates_csv(str(out2 / "epv.csv"), years, np.arange(14))
     for group, m in rates.items():
         assert np.array_equal(epvs[group], epv_matrix(m, 4, 1 / 1.05))
 

@@ -233,10 +233,9 @@ def test_rates_round_trip():
         range(0, 5),
         lambda y, a: rates.setdefault((y, a), float(rng.uniform(0.001, 0.5))),
     )
-    for standardize in (False, True):
-        p = build_panel(t, "total", (0, 4), (2000, 2009), standardize=standardize)
-        m = np.array([[rates[(y, a)] for a in range(5)] for y in range(2000, 2010)])
-        assert np.allclose(p.rates(), m, rtol=1e-12, atol=0.0)
+    p = build_panel(t, "total", (0, 4), (2000, 2009))
+    m = np.array([[rates[(y, a)] for a in range(5)] for y in range(2000, 2010)])
+    assert np.allclose(p.rates(), m, rtol=1e-12, atol=0.0)
 
 
 def test_split_train_test_counts_and_intercept():
@@ -252,38 +251,14 @@ def test_split_train_test_counts_and_intercept():
     assert np.allclose(train.y.mean(axis=0), 0.0, atol=1e-12)
 
 
-def test_split_standardized_round_trip():
-    rng = np.random.default_rng(11)
-    rates = {}
-    t = synthetic_table(
-        range(2000, 2012),
-        range(0, 4),
-        lambda y, a: rates.setdefault((y, a), float(rng.uniform(0.001, 0.4))),
-    )
-    p = build_panel(t, "female", (0, 3), (2000, 2011), standardize=True)
-    train, test = split_train_test(p, 2007)
-    m = np.array([[rates[(y, a)] for a in range(4)] for y in range(2000, 2012)])
-    assert np.allclose(train.rates(), m[:8], rtol=1e-12)
-    assert np.allclose(test.rates(), m[8:], rtol=1e-12)
-    assert np.allclose(train.intercept, np.log(m[:8]).mean(axis=0), atol=1e-12)
-
-
-def test_split_standardizes_by_the_training_years():
-    # the scale was the whole window's spread, so training y had per-age
-    # standard deviations of 0.69-0.82 at ages 0-4
+def test_split_centers_by_the_training_years():
     table = parse_hmd_1x1(hmd_text())
-    p = build_panel(table, "male", (0, 15), (1950, 2005), standardize=True)
+    p = build_panel(table, "male", (0, 15), (1950, 2005))
+    shift = p.y[:41].mean(axis=0)
     train, test = split_train_test(p, 1990)
-    log_m = np.log(build_panel(table, "male", (0, 15), (1950, 2005)).rates())
-    assert np.allclose(train.scale, log_m[:41].std(axis=0), rtol=1e-12)
-    assert np.allclose(train.y.std(axis=0), 1.0, rtol=1e-12)
-    assert np.array_equal(test.scale, train.scale)
-    assert np.allclose(test.rates(), np.exp(log_m[41:]), rtol=1e-12)
-    unscaled = build_panel(table, "male", (0, 15), (1950, 2005))
-    shift = unscaled.y[:41].mean(axis=0)
-    train, test = split_train_test(unscaled, 1990)
-    assert train.scale is None and np.array_equal(train.intercept, unscaled.intercept + shift)
-    assert np.array_equal(train.y, unscaled.y[:41] - shift) and np.array_equal(test.y, unscaled.y[41:] - shift)
+    assert np.array_equal(train.intercept, p.intercept + shift) and np.array_equal(test.intercept, train.intercept)
+    assert np.array_equal(train.y, p.y[:41] - shift) and np.array_equal(test.y, p.y[41:] - shift)
+    assert np.allclose(test.rates(), p.rates()[41:], rtol=1e-12)
 
 
 def test_split_boundary_and_round_trip():
@@ -451,19 +426,11 @@ def test_mortality_table_rejects_columns_of_different_lengths():
     "change, fragment",
     [
         (dict(intercept=np.zeros(2)), "inconsistent shapes"),
-        (dict(scale=np.ones(2)), "scale length mismatch"),
         (dict(y=np.array([[0.0, np.nan, 0.0]] * 2)), "non-finite entries"),
         (dict(intercept=np.array([np.nan, 0.0, 0.0])), "non-finite entries in y or the intercept"),
         (dict(intercept=np.array([0.0, 0.0, -np.inf])), "non-finite entries in y or the intercept"),
-        (dict(scale=np.array([1.0, 0.0, 1.0])), "scale is not finite and positive"),
-        (dict(scale=np.array([1.0, -2.0, 1.0])), "scale is not finite and positive"),
-        (dict(scale=np.array([1.0, np.inf, 1.0])), "scale is not finite and positive"),
-        (dict(scale=np.array([np.nan, 1.0, 1.0])), "scale is not finite and positive"),
     ],
-    ids=[
-        "shapes", "scale-length", "non-finite", "nan-intercept", "infinite-intercept",
-        "zero-scale", "negative-scale", "infinite-scale", "nan-scale",
-    ],
+    ids=["shapes", "non-finite", "nan-intercept", "infinite-intercept"],
 )
 def test_panel_rejects_inconsistent_fields(change, fragment):
     fields = dict(group="g", years=np.arange(2), ages=np.arange(3), y=np.zeros((2, 3)), intercept=np.zeros(3))

@@ -192,7 +192,7 @@ def test_fit_result_json_round_trip():
     assert back.groups == fit.groups
     assert np.allclose(back.group_errors, fit.group_errors)
     assert back.converged == fit.converged
-    assert (back.stop_reason, back.gradient_norm, back.evaluations) == (None, None, 0)
+    assert (back.stop_reason, back.gradient_norm, back.relative_gradient, back.evaluations) == (None, None, None, 0)
 
     fair = fit_fair_factor(data, 2, OptimizerOptions(penalty=3.0, restarts=2, max_iterations=30))
     assert fair.stop_reason in ("small_change", "no_descent", "max_iterations")
@@ -200,12 +200,13 @@ def test_fit_result_json_round_trip():
     back = FitResult.from_json_dict(payload)
     assert back.stop_reason == fair.stop_reason
     assert back.gradient_norm == fair.gradient_norm > 0.0
+    assert back.relative_gradient == fair.relative_gradient > 0.0
     assert back.evaluations == fair.evaluations > fair.iterations
     # files written before the diagnostics keys read with their defaults
-    for key in ("stop_reason", "gradient_norm", "evaluations"):
+    for key in ("stop_reason", "gradient_norm", "relative_gradient", "evaluations"):
         del payload[key]
     old = FitResult.from_json_dict(payload)
-    assert (old.stop_reason, old.gradient_norm, old.evaluations) == (None, None, 0)
+    assert (old.stop_reason, old.gradient_norm, old.relative_gradient, old.evaluations) == (None, None, None, 0)
     with pytest.raises(ValueError, match="schema"):
         FitResult.from_json_dict({"schema_version": 99})
 

@@ -109,13 +109,6 @@ def test_predict_mortality_constant_factors():
     for p in data.panels:
         last_log = (p.y @ fit.loading.projector())[-1] + p.intercept
         assert np.allclose(out.log_rates[p.group], np.tile(last_log, (4, 1)), atol=1e-10)
-    # a standardized panel's forecasts are scaled back before its intercept is added
-    scale = np.linspace(0.5, 2.0, 6)
-    scaled = GroupedPanel(tuple(replace(p, scale=scale) for p in data.panels))
-    out = predict_mortality(fit, models, scaled, h=4)
-    for p in data.panels:
-        last_log = (p.y @ fit.loading.projector())[-1] * scale + p.intercept
-        assert np.allclose(out.log_rates[p.group], np.tile(last_log, (4, 1)), atol=1e-10)
 
 
 def test_predict_mortality_monotone_decline():

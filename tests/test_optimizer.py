@@ -755,6 +755,7 @@ def test_fit_on_zero_panels_stops_without_pricing_a_grid(restarts, pca_start):
     data = panel_pair(np.zeros((4, 5)), np.zeros((3, 5)))
     fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=1.0, restarts=restarts))
     assert fit.stop_reason == "no_descent" and fit.iterations == 1 and fit.evaluations == 1
+    assert fit.relative_gradient is None  # the final objective is 0
 
 
 def test_capped_fit_reports_its_stop_and_diagnostics():
@@ -767,6 +768,8 @@ def test_capped_fit_reports_its_stop_and_diagnostics():
     M, G = fit.loading.matrix, fair_decision_gradient(data, fit.loading, 4.0, g)
     assert fit.gradient_norm == pytest.approx(np.linalg.norm(G - M @ (M.T @ G) / 6), rel=1e-9)
     assert fit.gradient_norm > 0.0
+    rho = fit.gradient_norm * np.linalg.norm(M) / abs(fit.objective_trace[-1])
+    assert fit.relative_gradient == pytest.approx(rho, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -789,6 +792,8 @@ def test_fit_reports_gradient_and_evaluations_for_every_stop_reason(
     assert fit.stop_reason == reason and iterations in (None, fit.iterations)
     M, G = fit.loading.matrix, fair_decision_gradient(data, fit.loading, penalty, identity_transform())
     assert fit.gradient_norm == pytest.approx(np.linalg.norm(G - M @ (M.T @ G) / 6), rel=1e-9)
+    rho = fit.gradient_norm * np.linalg.norm(M) / abs(fit.objective_trace[-1])
+    assert fit.relative_gradient == pytest.approx(rho, rel=1e-12)
     # every step prices its grid, but a last step from a zero gradient
     priced = fit.iterations - (reason == "no_descent" and not G.any())
     assert fit.evaluations == 1 + len(_STEP_GRID) * priced
