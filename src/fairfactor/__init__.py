@@ -3,9 +3,9 @@
 Estimates a shared loading matrix for multi-group panel data three ways: the
 plain principal-components factor model, a fair variant penalizing unequal
 per-group reconstruction errors, and a fair decision variant penalizing
-unequal errors of a downstream transform (identity, element-wise maps, or
-annuity-due pricing). Includes drift-AR forecasting, RMSE/fairness reporting,
-and k-fold penalty selection, specialized to centered log-mortality panels.
+unequal errors of annuity-due prices of the reconstructed rates. Includes
+drift-AR forecasting, RMSE/fairness reporting, and k-fold penalty
+selection, specialized to centered log-mortality panels.
 """
 
 from .dataset import (
@@ -63,7 +63,6 @@ from .transforms import (
     annuity_transform_for,
     apply_transform,
     decision_errors,
-    elementwise_transform,
     epv_annuity,
     epv_matrix,
     epv_weights,

@@ -22,25 +22,18 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+def _parse_list(parse):
+    """A parser of comma-separated values: an empty value lists nothing, and an empty element is an error."""
 
+    def parse_list(raw: str) -> tuple:
+        tokens = [tok.strip() for tok in raw.split(",")]
+        if tokens == [""]:
+            return ()
+        if "" in tokens:
+            raise ValueError("empty list element")
+        return tuple(parse(tok) for tok in tokens)
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    return parse_list
 
 
 def _parse_optional_float(raw: str) -> float | None:
@@ -52,7 +45,7 @@ def _parse_optional_float(raw: str) -> float | None:
 # must also be finite.
 _SCHEMA: dict[str, tuple] = {
     "data": (str, ""),
-    "groups": (_parse_str_list, ("male", "female")),
+    "groups": (_parse_list(str), ("male", "female")),
     "age_min": (int, 0, None),
     "age_max": (int, 85, None),
     "year_min": (lambda s: None if s.strip() == "" else int(s), None, None),
@@ -69,15 +62,14 @@ _SCHEMA: dict[str, tuple] = {
     "restarts": (int, 5, 1),
     "seed": (int, 0, 0),
     "cv_folds": (int, 5, 2),
-    "cv_lambdas": (_parse_float_list, (0.0, 0.5, 1.0, 2.0, 5.0, 11.0, 20.0, 50.0), 0),
+    "cv_lambdas": (_parse_list(float), (0.0, 0.5, 1.0, 2.0, 5.0, 11.0, 20.0, 50.0), 0),
     "cv_lambda_cap": (_parse_optional_float, None, 0),
-    "cv_random_folds": (_parse_bool, False),
     "horizon": (int, 0, 0),
     "predictions": (str, ""),
     "sim_ages": (int, 20, 1),
     "sim_r": (int, 1, 1),
-    "sim_group_sizes": (_parse_int_list, (60, 60), 2),
-    "sim_noise_scales": (_parse_float_list, (2.0, 1.0), 0),
+    "sim_group_sizes": (_parse_list(int), (60, 60), 2),
+    "sim_noise_scales": (_parse_list(float), (2.0, 1.0), 0),
     "repro_lambda_factor": (float, 11.0, 0),
     "repro_lambda_decision": (float, 2.0, 0),
     "out": (str, ""),
@@ -148,8 +140,6 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
             values[key] = _SCHEMA[key][0](raw_value)
-        except ConfigError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw_value!r} ({exc})") from None
     for key, (_, _, *bound) in _SCHEMA.items():

@@ -124,9 +124,9 @@ class CvTable:
         raise KeyError(penalty)
 
 
-def _fold_indices(n: int, k: int, rng: "np.random.Generator | None") -> list[np.ndarray]:
-    order = np.arange(n) if rng is None else rng.permutation(n)
-    return [np.sort(chunk) for chunk in np.array_split(order, k)]
+def _fold_indices(n: int, k: int) -> list[np.ndarray]:
+    """k contiguous blocks of the rows 0 .. n-1, in order."""
+    return np.array_split(np.arange(n), k)
 
 
 def _evaluate_fold(args):
@@ -153,17 +153,16 @@ def cross_validate_lambda(
     lambda_cap: float | None,
     g: DecisionTransform,
     opts: OptimizerOptions,
-    random_folds: bool = False,
     jobs: int = 1,
 ) -> CvTable:
     """k-fold search over the penalty grid under the fairness-gap constraint.
 
-    Folds partition each group's rows; contiguous time blocks by default,
-    seeded random assignment with random_folds=True. A grid point is feasible
-    when its mean validation fairness gap is at most lambda_cap; with
-    lambda_cap=None the cap defaults to half the penalty-free gap. The chosen
-    penalty minimizes the mean validation error among feasible rows, falling
-    back to the smallest-gap row (flagged) when none is feasible.
+    Folds partition each group's rows into k contiguous blocks of years. A
+    grid point is feasible when its mean validation fairness gap is at most
+    lambda_cap; with lambda_cap=None the cap defaults to half the
+    penalty-free gap. The chosen penalty minimizes the mean validation error
+    among feasible rows, falling back to the smallest-gap row (flagged) when
+    none is feasible.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -181,8 +180,7 @@ def cross_validate_lambda(
     for p in data.panels:
         if p.n_years < k:
             raise ValueError(f"group {p.group!r} has {p.n_years} rows, fewer than {k} folds")
-    rng = np.random.default_rng(opts.seed) if random_folds else None
-    fold_sets = list(zip(*(_fold_indices(p.n_years, k, rng) for p in data.panels)))
+    fold_sets = list(zip(*(_fold_indices(p.n_years, k) for p in data.panels)))
 
     # the default cap is half the penalty-free gap, so lambda = 0 must be run
     penalties = sorted(set(grid) | {0.0}) if lambda_cap is None else sorted(set(grid))

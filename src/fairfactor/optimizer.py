@@ -7,7 +7,7 @@ Both fair fits minimize
 over loadings with L^T L / N = I_r, by gradient steps followed by the scaled
 polar projection L <- sqrt(N) * nearest_orthonormal(L - eta * grad). The
 factor model measures reconstruction error per group; the decision model
-measures the error of a transform g applied to reconstructions.
+measures the error of the annuity-due prices of reconstructed rates.
 
 The factor gradient follows the classical trace form: it is the exact
 gradient of the objective with the orthonormality constraint substituted in,
@@ -117,6 +117,7 @@ class _Problem:
     """
 
     def __init__(self, data: GroupedPanel, penalty: float):
+        _check_penalty(penalty)
         self.penalty = penalty
         self.N = data.n_ages
         self.rows = data.group_rows
@@ -202,13 +203,14 @@ def _weigh_adjoint(tiles: Iterable, z: np.ndarray, n: int) -> np.ndarray:
 
 
 class _DecisionProblem(_Problem):
-    """Decision errors for a non-identity transform g, with the matching analytic gradients.
+    """Pricing errors of the annuity transform g, with the matching analytic gradients.
 
-    Per sample the gradient of ||g(L L^T y / N) - g(y)||^2 is
-    (2/N) [z y^T L + y z^T L] with z = g'(recon) * (g(recon) - g(y)); group
-    terms stack as (2/(T_k N)) (Z^T Y + Y^T Z) L. For the annuity transform in
-    taylor mode, g(recon) - g(y) is replaced by W (m_recon - m_obs) with the
-    derivative weights W frozen at the observed rates.
+    A sample y has the reconstructed rates m = exp(L L^T y / N + intercept)
+    and the price error d = p(m) - p(m_obs), priced exactly, or in taylor
+    mode d = W (m - m_obs) with the EPV weights W frozen at the observed
+    rates. The gradient of ||d||^2 is (2/N) [z y^T L + y z^T L] with
+    z = m * (W^T d), W taken at m in exact mode; group terms stack as
+    (2/(T_k N)) (Z^T Y + Y^T Z) L.
     """
 
     def __init__(self, data: GroupedPanel, g: DecisionTransform, penalty: float):
@@ -216,9 +218,8 @@ class _DecisionProblem(_Problem):
         self.g = g
         self.groups = data.groups
         self.ys = [p.y for p in data.panels]
-        self.taylor = g.kind == "annuity" and g.annuity_mode == "taylor"
-        if g.kind == "annuity":
-            self.intercepts = [g.intercept_for(p.group) for p in data.panels]
+        self.taylor = g.annuity_mode == "taylor"
+        self.intercepts = [g.intercept_for(p.group) for p in data.panels]
         if self.taylor:
             self.m_obs = [np.clip(np.exp(y + a), 0.0, 1.0) for y, a in zip(self.ys, self.intercepts)]
             self.tiles = [list(_weight_tiles(m, g.term, g.discount)) for m in self.m_obs]
@@ -264,22 +265,16 @@ class _DecisionProblem(_Problem):
         for k, Y in enumerate(self.ys):
             YL = Y @ M
             recon = YL @ M.T / self.N
-            if self.g.kind == "elementwise":
-                func, derivative = self.g.funcs()
-                priced = func(recon)
-                d = priced - self.g_ys[k]
-                Z = derivative(recon) * d
+            m_recon = np.exp(np.add(recon, self.intercepts[k], out=recon), out=recon)  # in place of recon
+            priced = epv_matrix(m_recon, self.g.term, self.g.discount)  # apply_transform, to the bit
+            if self.taylor:
+                d = _weigh(self.tiles[k], m_recon - self.m_obs[k])
+                Z = m_recon * _weigh_adjoint(self.tiles[k], d, self.N)  # W^T W e
             else:
-                m_recon = np.exp(np.add(recon, self.intercepts[k], out=recon), out=recon)  # in place of recon
-                priced = epv_matrix(m_recon, self.g.term, self.g.discount)  # apply_transform, to the bit
-                if self.taylor:
-                    d = _weigh(self.tiles[k], m_recon - self.m_obs[k])
-                    Z = m_recon * _weigh_adjoint(self.tiles[k], d, self.N)  # W^T W e
-                else:
-                    d = priced - self.g_ys[k]
-                    tiles = _weight_tiles(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
-                    # W(m_recon)^T d, one tile at a time; clipping zeroes the sensitivity above 1
-                    Z = np.where(m_recon <= 1.0, m_recon, 0.0) * _weigh_adjoint(tiles, d, self.N)
+                d = priced - self.g_ys[k]
+                tiles = _weight_tiles(np.clip(m_recon, 0.0, 1.0), self.g.term, self.g.discount)
+                # W(m_recon)^T d, one tile at a time; clipping zeroes the sensitivity above 1
+                Z = np.where(m_recon <= 1.0, m_recon, 0.0) * _weigh_adjoint(tiles, d, self.N)
             errors[k] = (d * d).sum() / self.rows[k]
             grads.append((2.0 / (self.rows[k] * self.N)) * (Z.T @ YL + Y.T @ (Z @ M)))
             signals.append(priced)
@@ -339,11 +334,10 @@ def fair_decision_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the substituted fair-decision objective.
 
-    Element-wise transforms use the diag(g') sandwich form; the annuity
-    transform inserts W^T W with weights frozen at the observed rates (taylor
-    mode) or evaluated at the reconstruction (exact mode).
+    The identity gives the fair-factor gradient; the annuity transform
+    weighs price errors by the EPV weights W, frozen at the observed rates
+    (taylor mode) or evaluated at the reconstruction (exact mode).
     """
-    _check_penalty(penalty)
     return _problem(data, g, penalty).descent(loading.matrix)[0]
 
 
@@ -541,7 +535,7 @@ def fit_fair_decision(
     one start at a time; the stopping rule tracks the relative change of g
     applied to reconstructions. The returned group_errors are the exact per-group decision errors, also
     when the annuity fit optimizes the taylor surrogate. With g = identity
-    this is the fair-factor fit, dual start included; other transforms
-    start at the principal-components solution.
+    this is the fair-factor fit, dual start included; the annuity
+    transform starts at the principal-components solution.
     """
     return _fit(data, r, opts, g)

@@ -331,7 +331,6 @@ def run_cv(config: RunConfig, writer: ArtifactWriter):
         lambda_cap=config.cv_lambda_cap,
         g=g,
         opts=optimizer_options(config, 0.0),
-        random_folds=config.cv_random_folds,
         jobs=config.jobs,
     )
     rows = [

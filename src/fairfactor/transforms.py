@@ -1,4 +1,4 @@
-"""Decision transforms: identity, element-wise maps, and annuity-due pricing.
+"""Decision transforms: the identity and annuity-due pricing.
 
 The annuity-due expected present value for a start age index i is
 
@@ -11,7 +11,7 @@ function clips its rates into [0, 1] first.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .linalg import _is_integer
 __all__ = [
     "DecisionTransform",
     "identity_transform",
-    "elementwise_transform",
     "annuity_transform",
     "annuity_transform_for",
     "epv_width",
@@ -37,36 +36,27 @@ __all__ = [
 
 ANNUITY_MODES = ("taylor", "exact")
 
-ELEMENTWISE_MAPS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = {
-    "exp": (np.exp, np.exp),
-    "sin": (np.sin, np.cos),
-    "cube": (lambda x: x**3, lambda x: 3.0 * x**2),
-}
-
 
 @dataclass(frozen=True)
 class DecisionTransform:
     """Specification of the decision map g applied to reconstructions.
 
-    kind "identity" leaves values alone, "elementwise" applies a named scalar
-    map, and "annuity" prices an annuity-due of `term` yearly payments at
-    discount factor `discount` on rates exp(y + intercept[group]).
+    kind "identity" leaves values alone, and "annuity" prices an annuity-due
+    of `term` yearly payments at discount factor `discount` on rates
+    exp(y + intercept[group]).
     annuity_mode picks the optimization path: "taylor" freezes the derivative
     weights at the observed rates, "exact" re-prices at every evaluation.
     """
 
     kind: str
-    name: str = ""
     term: int = 0
     discount: float = 1.0
     intercepts: Mapping[str, np.ndarray] | None = None
     annuity_mode: str = "taylor"
 
     def __post_init__(self):
-        if self.kind not in ("identity", "elementwise", "annuity"):
+        if self.kind not in ("identity", "annuity"):
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "elementwise" and self.name not in ELEMENTWISE_MAPS:
-            raise ValueError(f"unknown elementwise map {self.name!r}; have {sorted(ELEMENTWISE_MAPS)}")
         if self.kind == "annuity":
             if not (_is_integer(self.term) and self.term >= 1):
                 raise ValueError(f"annuity term must be an integer of at least 1, got {self.term!r}")
@@ -75,9 +65,6 @@ class DecisionTransform:
                 raise ValueError("annuity transform needs per-group intercepts")
             if self.annuity_mode not in ANNUITY_MODES:
                 raise ValueError(f"unknown annuity mode {self.annuity_mode!r}")
-
-    def funcs(self):
-        return ELEMENTWISE_MAPS[self.name]
 
     def intercept_for(self, group: str) -> np.ndarray:
         assert self.intercepts is not None
@@ -89,10 +76,6 @@ class DecisionTransform:
 
 def identity_transform() -> DecisionTransform:
     return DecisionTransform(kind="identity")
-
-
-def elementwise_transform(name: str) -> DecisionTransform:
-    return DecisionTransform(kind="elementwise", name=name)
 
 
 def annuity_transform(
@@ -200,9 +183,6 @@ def apply_transform(g: DecisionTransform, group: str, y_block: np.ndarray) -> np
     y_block = np.atleast_2d(np.asarray(y_block, dtype=float))
     if g.kind == "identity":
         return y_block
-    if g.kind == "elementwise":
-        func, _ = g.funcs()
-        return func(y_block)
     rates = np.exp(y_block + g.intercept_for(group))
     return epv_matrix(rates, g.term, g.discount)
 

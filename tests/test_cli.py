@@ -74,6 +74,8 @@ def test_config_validation_errors():
         "annuity_mode=bogus",
         "line_search=exact-grid",
         "standardize=true",
+        "cv_random_folds=true",
+        "groups=male,,female",
         # the default model, factor, runs no optimizer and no cv, but these can never be valid
         "max_iterations=0",
         "restarts=0",
@@ -110,17 +112,6 @@ def test_per_group_data_overrides_pick_each_group_file():
     assert config.data_path_for("female") == "female.txt"
 
 
-@pytest.mark.parametrize("raw", ["false", "No", "0", "OFF"])
-def test_config_reads_every_false_spelling(raw):
-    assert resolve_config(parse_config_text("cv_random_folds = true\n")).cv_random_folds is True
-    assert resolve_config(parse_config_text(f"cv_random_folds = {raw}\n")).cv_random_folds is False
-
-
-def test_config_rejects_a_value_that_is_not_boolean():
-    with pytest.raises(ConfigError, match="expected a boolean, got 'maybe'"):
-        resolve_config(parse_config_text("cv_random_folds = maybe\n"))
-
-
 def test_run_config_has_no_unknown_attribute():
     with pytest.raises(AttributeError, match="mystery"):
         resolve_config({}).mystery
@@ -140,9 +131,19 @@ def test_no_data_file_for_a_group_is_a_config_error(tmp_path, capsys, hmd_file):
 
 
 def test_override_without_equals_is_a_config_error(tmp_path, capsys):
-    assert run_cli("ingest", "--set", "cv_random_folds", "--out", str(tmp_path / "o")) == 2
+    assert run_cli("ingest", "--set", "seed", "--out", str(tmp_path / "o")) == 2
     record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ConfigError" and "override 'cv_random_folds' is not key=value" in record["message"]
+    assert record["error"] == "ConfigError" and "override 'seed' is not key=value" in record["message"]
+
+
+@pytest.mark.parametrize("key", ["standardize", "cv_random_folds"])
+def test_removed_keys_are_unknown_before_any_data_file_is_read(tmp_path, capsys, key):
+    # without the key, the missing data file is a data error (exit 3)
+    settings = ["--set", f"{key}=true", "--set", f"data={tmp_path / 'missing.txt'}", "--set", "model=fair-decision"]
+    assert run_cli("cv", *settings, "--out", str(tmp_path / "o")) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and f"unknown configuration key '{key}'" in record["message"]
+    assert run_cli("cv", *settings[2:], "--out", str(tmp_path / "o")) == 3
 
 
 def test_jobs_flag_reaches_the_config(tmp_path, capsys, hmd_file):
@@ -254,6 +255,9 @@ def test_read_rates_csv_fuzz_fails_only_with_data_errors(tmp_path, hmd_file):
         ("cv", "cv_lambdas=-1,2"),
         ("cv", "cv_lambdas=2,0,2"),
         ("cv", "cv_lambdas="),
+        ("cv", "cv_lambdas=0,,2"),
+        ("cv", "cv_lambdas=0,2,"),
+        ("fit", "groups=male,,female"),
         ("cv", "cv_lambda_cap=-1"),
     ],
 )
@@ -518,10 +522,12 @@ def test_simulate_seed_changes_output(tmp_path):
         ["sim_ages=0"],
         ["sim_group_sizes=5,1"],
         ["sim_noise_scales=-1"],
+        ["sim_group_sizes=8,,8"],
+        ["sim_noise_scales=1,,2"],
     ],
     ids=[
         "rank-zero", "one-group", "one-row-group", "mismatched-scales", "negative-scale",
-        "no-ages", "one-row-last-group", "negative-scale-one-group",
+        "no-ages", "one-row-last-group", "negative-scale-one-group", "empty-size", "empty-scale",
     ],
 )
 def test_simulate_bad_settings_are_config_errors(tmp_path, capsys, settings):

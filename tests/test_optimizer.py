@@ -35,10 +35,11 @@ from fairfactor.optimizer import (
     random_loading,
 )
 from fairfactor.transforms import (
+    ANNUITY_MODES,
     annuity_transform_for,
     apply_transform,
     decision_errors,
-    elementwise_transform,
+    epv_annuity,
     epv_matrix,
     epv_weights_stack,
     identity_transform,
@@ -180,26 +181,34 @@ def test_decision_objective_identity_reduction():
 
 
 def test_decision_objective_exp_in_span_is_zero():
+    # in the span the reconstructed rates exp(y + intercept) are the observed ones
     rng = np.random.default_rng(7)
     L = random_loading(rng, 5, 2)
-    y = rng.standard_normal((4, 2)) @ L.matrix.T
-    data = panel_pair(y, y.copy())
-    assert fair_decision_objective(data, L, 0.0, elementwise_transform("exp")) <= 1e-18
+    y = 0.3 * rng.standard_normal((4, 2)) @ L.matrix.T
+    data = panel_pair(y, y.copy(), intercept=np.full(5, -2.5))
+    g = annuity_transform_for(data, term=3, discount=0.95)
+    assert fair_decision_objective(data, L, 0.0, g) <= 1e-18
+    assert annuity_taylor_objective(data, L, 0.0, g) <= 1e-18
 
 
 def test_decision_objective_exp_termwise_oracle():
+    # the exact objective against rates exp(y + intercept) priced one start age at a time
     rng = np.random.default_rng(8)
-    data = random_instance(rng, T1=5, T2=6, N=4)
+    data = annuity_panels(rng, T1=5, T2=6, N=4)
     L = random_loading(rng, 4, 2)
     P = L.projector()
     errs = []
     for p in data.panels:
-        diff = np.exp(p.y @ P) - np.exp(p.y)
-        errs.append(float((diff**2).sum()) / p.n_years)
+        sq = 0.0
+        for recon, y in zip(p.y @ P, p.y):
+            for i in range(3):  # epv_width(4, 3) start ages
+                price = epv_annuity(np.exp(recon + p.intercept), i, 3, 0.9)
+                sq += (price - epv_annuity(np.exp(y + p.intercept), i, 3, 0.9)) ** 2
+        errs.append(sq / p.n_years)
     lam = 1.2
     expected = sum(p.n_years * e for p, e in zip(data.panels, errs)) / data.total_rows
     expected += lam * (errs[0] - errs[1]) ** 2
-    got = fair_decision_objective(data, L, lam, elementwise_transform("exp"))
+    got = fair_decision_objective(data, L, lam, annuity_transform_for(data, term=3, discount=0.9))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -220,33 +229,38 @@ def test_decision_gradient_identity_matches_factor_on_tangent():
 
 
 def test_decision_gradient_zero_data():
-    data = panel_pair(np.zeros((4, 5)), np.zeros((3, 5)))
+    data = panel_pair(np.zeros((4, 5)), np.zeros((3, 5)), intercept=np.full(5, -2.5))
     rng = np.random.default_rng(10)
     L = random_loading(rng, 5, 2)
-    g = fair_decision_gradient(data, L, 4.0, elementwise_transform("exp"))
-    assert np.allclose(g, 0.0, atol=1e-14)
+    for mode in ANNUITY_MODES:
+        g = annuity_transform_for(data, term=3, discount=0.95, annuity_mode=mode)
+        assert np.allclose(fair_decision_gradient(data, L, 4.0, g), 0.0, atol=1e-14)
 
 
-def substituted_decision_objective(data, M, lam):
-    N = data.n_ages
+def exact_decision_objective(data, M, lam, term, discount):
+    """The substituted exact-mode objective: rates exp(recon + intercept), priced by epv_matrix."""
     errs = []
     for p in data.panels:
-        recon = (p.y @ M) @ M.T / N
-        errs.append(float(((np.exp(recon) - np.exp(p.y)) ** 2).sum()) / p.n_years)
+        recon = (p.y @ M) @ M.T / data.n_ages
+        priced = epv_matrix(np.exp(recon + p.intercept), term, discount)
+        d = priced - epv_matrix(np.exp(p.y + p.intercept), term, discount)
+        errs.append(float((d**2).sum()) / p.n_years)
     total = sum(p.n_years * e for p, e in zip(data.panels, errs)) / data.total_rows
     pen = sum((errs[i] - errs[j]) ** 2 for i in range(len(errs)) for j in range(i + 1, len(errs)))
     return total + lam * pen
 
 
 def test_decision_gradient_exp_matches_finite_differences():
+    # exact pricing of the rates exp(y + intercept) at rank 2
     rng = np.random.default_rng(11)
     for _ in range(5):
-        data = panel_pair(0.4 * rng.standard_normal((5, 6)), 0.4 * rng.standard_normal((6, 6)))
+        data = annuity_panels(rng, T1=5, T2=6, N=6, spread=0.4)
+        g = annuity_transform_for(data, term=3, discount=0.95, annuity_mode="exact")
         L = random_loading(rng, 6, 2)
         lam = 0.8
-        grad = fair_decision_gradient(data, L, lam, elementwise_transform("exp"))
+        grad = fair_decision_gradient(data, L, lam, g)
         h = 1e-6 * np.linalg.norm(L.matrix)
-        fd = fd_gradient(lambda M: substituted_decision_objective(data, M, lam), L.matrix, h)
+        fd = fd_gradient(lambda M: exact_decision_objective(data, M, lam, 3, 0.95), L.matrix, h)
         assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
 
 
@@ -293,27 +307,13 @@ def test_annuity_exact_gradient_matches_finite_differences():
     L = random_loading(rng, 5, 1)
     lam = 0.7
     grad = fair_decision_gradient(data, L, lam, g)
-
-    def exact_oracle(M):
-        errs = []
-        for p in data.panels:
-            recon = (p.y @ M) @ M.T / data.n_ages
-            from fairfactor.transforms import epv_matrix
-
-            d = epv_matrix(np.exp(recon + p.intercept), 3, 0.9) - epv_matrix(
-                np.exp(p.y + p.intercept), 3, 0.9
-            )
-            errs.append(float((d**2).sum()) / p.n_years)
-        total = sum(p.n_years * e for p, e in zip(data.panels, errs)) / data.total_rows
-        return total + lam * (errs[0] - errs[1]) ** 2
-
     h = 1e-6 * np.linalg.norm(L.matrix)
-    fd = fd_gradient(exact_oracle, L.matrix, h)
+    fd = fd_gradient(lambda M: exact_decision_objective(data, M, lam, 3, 0.9), L.matrix, h)
     assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
 
 
 @pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("kind", ["exp", "taylor", "exact"])
+@pytest.mark.parametrize("kind", ["taylor", "exact"])
 def test_three_group_decision_gradients_match_finite_differences(kind, r):
     # the penalty's pair loop beyond K = 2, against group errors priced by hand
     rng = np.random.default_rng(23)
@@ -325,15 +325,10 @@ def test_three_group_decision_gradients_match_finite_differences(kind, r):
         )
     )
     lam = 1.7
-    if kind == "exp":
-        g = elementwise_transform("exp")
-    else:
-        g = annuity_transform_for(data, term=3, discount=0.95, annuity_mode=kind)
+    g = annuity_transform_for(data, term=3, discount=0.95, annuity_mode=kind)
     weights = [epv_weights_stack(np.exp(p.y + level), 3, 0.95) for p in data.panels]
 
     def price(k, y):
-        if kind == "exp":
-            return np.exp(y)
         if kind == "taylor":  # linear in the rates, with the weights of the observed rates
             return np.einsum("tij,tj->ti", weights[k], np.exp(y + level))
         return epv_matrix(np.exp(y + level), 3, 0.95)
@@ -443,8 +438,9 @@ def restart_cases():
     annuity = annuity_panels(rng, T1=8, T2=7, N=12, spread=0.2)
     for mode in ("taylor", "exact"):
         yield mode, annuity, 1, annuity_transform_for(annuity, term=4, discount=0.95, annuity_mode=mode), 2.0
-    exp_data = panel_pair(0.4 * rng.standard_normal((9, 7)), 0.4 * rng.standard_normal((8, 7)))
-    yield "elementwise", exp_data, 2, elementwise_transform("exp"), 1.5
+    # the one decision fit at rank 2, so the only one that projects by SVD (_scaled_polar)
+    wide = annuity_panels(rng, T1=9, T2=8, N=7, spread=0.4)
+    yield "taylor-r2", wide, 2, annuity_transform_for(wide, term=3, discount=0.95), 1.5
 
 
 @pytest.mark.parametrize("case", list(restart_cases()), ids=lambda case: case[0])
@@ -741,6 +737,11 @@ def test_objective_and_gradient_check_penalty_as_options_do(penalty):
     for fn in (fair_decision_objective, fair_decision_gradient):
         with pytest.raises(ValueError, match="penalty must be finite and non-negative"):
             fn(data, L, penalty, identity_transform())
+    annuity = annuity_panels(np.random.default_rng(32))
+    g = annuity_transform_for(annuity, term=3, discount=0.95)
+    for fn in (annuity_taylor_objective, fair_decision_objective, fair_decision_gradient):
+        with pytest.raises(ValueError, match="penalty must be finite and non-negative"):
+            fn(annuity, L, penalty, g)
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from fairfactor.transforms import (
     annuity_transform,
     apply_transform,
     decision_errors,
-    elementwise_transform,
     epv_annuity,
     epv_matrix,
     epv_weight_bands,
@@ -169,11 +168,12 @@ def test_weights_match_finite_differences():
                 assert W[i, j] == pytest.approx(fd, abs=1e-8)
 
 
-def test_apply_identity_and_elementwise():
-    y = np.array([[0.1, -0.2], [0.3, 0.4]])
+def test_apply_identity_and_annuity():
+    y = np.array([[0.1, -0.2, 0.05], [0.3, 0.4, -0.1]])
     assert np.array_equal(apply_transform(identity_transform(), "g1", y), y)
-    out = apply_transform(elementwise_transform("exp"), "g1", y)
-    assert np.allclose(out, np.exp(y))
+    intercept = np.array([-3.0, -2.5, -2.0])
+    out = apply_transform(annuity_transform(2, 0.9, {"g1": intercept}), "g1", y)
+    assert np.array_equal(out, epv_matrix(np.exp(y + intercept), 2, 0.9))
 
 
 def test_apply_annuity_single_payment_all_ones():
@@ -279,8 +279,8 @@ def test_transform_validation():
 
     with pytest.raises(ValueError, match="kind"):
         DecisionTransform(kind="mystery")
-    with pytest.raises(ValueError, match="elementwise"):
-        elementwise_transform("not-a-map")
+    with pytest.raises(ValueError, match="kind"):  # identity and annuity are the only kinds
+        DecisionTransform(kind="elementwise")
     with pytest.raises(ValueError, match="term"):
         annuity_transform(0, 1.0, {"g": np.zeros(3)})
     with pytest.raises(ValueError, match="discount"):
