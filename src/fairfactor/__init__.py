@@ -22,7 +22,6 @@ from .dataset import (
     synthesize,
 )
 from .factor import (
-    FactorPath,
     FitResult,
     Loading,
     fit_pca,

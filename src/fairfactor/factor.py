@@ -15,7 +15,6 @@ from .linalg import _is_integer, top_r_eigs
 
 __all__ = [
     "Loading",
-    "FactorPath",
     "FitResult",
     "FactorDual",
     "fit_pca",
@@ -68,20 +67,12 @@ class Loading:
 
 
 @dataclass(frozen=True)
-class FactorPath:
-    """Estimated factor series for one group: panel_y @ loading / N."""
-
-    group: str
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class FitResult:
     """One fit; to_json_dict and from_json_dict walk these fields, so a new
     one needs one line here (with a default, for files written before it)."""
 
     loading: Loading
-    factors: tuple[FactorPath, ...]
+    factors: dict[str, np.ndarray]  # group -> (T_k, r) factor path panel_y @ loading / N, in panel order
     objective_trace: tuple[float, ...]
     group_errors: np.ndarray
     iterations: int
@@ -105,12 +96,12 @@ class FitResult:
     @classmethod
     def from_panel(cls, data: GroupedPanel, loading: Loading, errors: np.ndarray, **diagnostics) -> "FitResult":
         """The fit of a loading to a panel, with its factor paths panel_y @ loading / N."""
-        factors = tuple(FactorPath(p.group, p.y @ loading.matrix / data.n_ages) for p in data.panels)
+        factors = {p.group: p.y @ loading.matrix / data.n_ages for p in data.panels}
         return cls(loading=loading, factors=factors, group_errors=errors, **diagnostics)
 
     @property
     def groups(self) -> tuple[str, ...]:
-        return tuple(f.group for f in self.factors)
+        return tuple(self.factors)
 
     @property
     def unfairness(self) -> float:
@@ -125,7 +116,7 @@ class FitResult:
             groups=list(self.groups),
             unfairness=float(self.unfairness),
             loading=self.loading.matrix.tolist(),
-            factors={f.group: f.matrix.tolist() for f in self.factors},
+            factors={g: f.tolist() for g, f in self.factors.items()},
             group_errors=[float(v) for v in self.group_errors],
         )
         return payload
@@ -155,10 +146,10 @@ class FitResult:
                 value = f.type(value)
             values[f.name] = tuple(value) if isinstance(value, list) else value
         loading = Loading(np.array(payload["loading"], dtype=float))
-        factors = tuple(FactorPath(g, np.array(payload["factors"][g], dtype=float)) for g in groups)
-        for f in factors:
-            if f.matrix.ndim != 2 or f.matrix.shape[1] != loading.r:
-                raise ValueError(f"group {f.group!r}'s factors have shape {f.matrix.shape}, not (T, {loading.r})")
+        factors = {g: np.array(payload["factors"][g], dtype=float) for g in groups}
+        for g, f in factors.items():
+            if f.ndim != 2 or f.shape[1] != loading.r:
+                raise ValueError(f"group {g!r}'s factors have shape {f.shape}, not (T, {loading.r})")
         values.update(loading=loading, factors=factors, group_errors=np.array(payload["group_errors"], dtype=float))
         return cls(**values)
 

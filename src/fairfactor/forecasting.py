@@ -1,6 +1,6 @@
 """Drift-AR forecasting of factor paths and the mapping back to rates.
 
-Model family: ARIMA(p, d, 0) with drift, p <= p_max, d <= d_max, coefficients
+Model family, fixed: ARIMA(p, d, 0) with drift, p <= 5, d <= 2, coefficients
 and drift fitted by least squares on the d-times differenced series, order
 chosen by the corrected Akaike criterion. The family contains the random walk
 with drift (p=0, d=1), the canonical choice for log-mortality indices.
@@ -18,13 +18,16 @@ __all__ = [
     "DriftARModel",
     "ForecastResult",
     "fit_drift_ar",
-    "min_history",
+    "MIN_HISTORY",
     "forecast",
     "fit_factor_models",
     "predict_mortality",
 ]
 
 _RESOLUTION = 1e-10  # SSE below (resolution * scale)^2 per point counts as an exact fit
+_P_MAX = 5  # the family's largest AR order
+_D_MAX = 2  # and its most differences
+MIN_HISTORY = _P_MAX + _D_MAX + 8  # the shortest series fit_drift_ar accepts
 
 
 @dataclass(frozen=True)
@@ -69,34 +72,25 @@ def _fit_candidate(z: np.ndarray, p: int) -> tuple[np.ndarray, float, int] | Non
     return beta, sse, T_eff
 
 
-def min_history(p_max: int = 5, d_max: int = 2) -> int:
-    """The shortest series fit_drift_ar accepts for this order search."""
-    return p_max + d_max + 8
-
-
-def fit_drift_ar(series: np.ndarray, p_max: int = 5, d_max: int = 2) -> DriftARModel:
-    """Search p in 0..p_max, d in 0..d_max and keep the smallest-AICc candidate.
+def fit_drift_ar(series: np.ndarray) -> DriftARModel:
+    """Search p in 0..5, d in 0..2 and keep the smallest-AICc candidate.
 
     Candidates whose AR polynomial is not stationary on the differenced scale
     are rejected. Raises ValueError when the series holds a non-finite value
     or is too short, or every candidate is rejected.
     """
-    if not (_is_integer(p_max) and _is_integer(d_max) and p_max >= 0 and d_max >= 0):
-        raise ValueError(f"p_max and d_max must be non-negative integers, got {p_max!r} and {d_max!r}")
     series = np.asarray(series, dtype=float).ravel()
     if not np.isfinite(series).all():
         raise ValueError("the drift-AR series holds a non-finite value")
-    if len(series) < min_history(p_max, d_max):
-        raise ValueError(
-            f"series of length {len(series)} is too short for p_max={p_max}, d_max={d_max}"
-        )
+    if len(series) < MIN_HISTORY:
+        raise ValueError(f"series of length {len(series)} is too short: the drift-AR search needs {MIN_HISTORY}")
     best: tuple[float, DriftARModel] | None = None
     # candidates fitting to machine precision share one floored SSE, so the
     # AICc comparison then prefers fewer differences and fewer lags
     sse_unit = (_RESOLUTION * max(1.0, float(np.sqrt(np.mean(series**2))))) ** 2
-    for d in range(d_max + 1):
-        z = np.diff(series, n=d) if d else series
-        for p in range(p_max + 1):
+    for d in range(_D_MAX + 1):
+        z = np.diff(series, n=d)
+        for p in range(_P_MAX + 1):
             fitted = _fit_candidate(z, p)
             if fitted is None:
                 continue
@@ -135,8 +129,7 @@ def forecast(model: DriftARModel, history: np.ndarray, h: int) -> np.ndarray:
     d, p = model.differencing, model.order
     if len(history) < p + d:
         raise ValueError(f"history of length {len(history)} too short for the model")
-    z = np.diff(history, n=d) if d else history.copy()
-    z = list(z)
+    z = list(np.diff(history, n=d))
     for _ in range(h):
         value = model.drift
         for lag in range(1, p + 1):
@@ -145,19 +138,13 @@ def forecast(model: DriftARModel, history: np.ndarray, h: int) -> np.ndarray:
     steps = np.array(z[len(z) - h :])
     # integrate d times, anchoring each level at the tail of its own history
     for level in range(d, 0, -1):
-        anchor_series = np.diff(history, n=level - 1) if level - 1 else history
-        steps = anchor_series[-1] + np.cumsum(steps)
+        steps = np.diff(history, n=level - 1)[-1] + np.cumsum(steps)
     return steps
 
 
-def fit_factor_models(
-    fit: FitResult, p_max: int = 5, d_max: int = 2
-) -> dict[str, list[DriftARModel]]:
+def fit_factor_models(fit: FitResult) -> dict[str, list[DriftARModel]]:
     """One drift-AR model per (group, factor column), fitted independently."""
-    return {
-        f.group: [fit_drift_ar(f.matrix[:, j], p_max, d_max) for j in range(f.matrix.shape[1])]
-        for f in fit.factors
-    }
+    return {group: [fit_drift_ar(column) for column in f.T] for group, f in fit.factors.items()}
 
 
 @dataclass(frozen=True)
@@ -181,18 +168,15 @@ def predict_mortality(
     clipped = 0
     rates: dict[str, np.ndarray] = {}
     logs: dict[str, np.ndarray] = {}
-    for f in fit.factors:
-        group = f.group
+    for group, f in fit.factors.items():
         if group not in models:
             raise KeyError(f"no forecasting models for group {group!r}")
         if group not in by_group:
             raise KeyError(f"no training panel for group {group!r}")
         cols = models[group]
-        if len(cols) != f.matrix.shape[1]:
-            raise ValueError(
-                f"group {group!r} has {f.matrix.shape[1]} factor columns but {len(cols)} models"
-            )
-        future = np.column_stack([forecast(cols[j], f.matrix[:, j], h) for j in range(len(cols))])
+        if len(cols) != f.shape[1]:
+            raise ValueError(f"group {group!r} has {f.shape[1]} factor columns but {len(cols)} models")
+        future = np.column_stack([forecast(model, column, h) for model, column in zip(cols, f.T)])
         log_m = by_group[group].log_rates(future @ L.T)
         m = np.exp(log_m)
         clipped += int((m > 1.0).sum())  # exp is positive: only rates above 1 clip

@@ -28,7 +28,7 @@ from .dataset import (
     synthesize,
 )
 from .factor import FitResult, fit_pca
-from .forecasting import fit_factor_models, min_history, predict_mortality
+from .forecasting import MIN_HISTORY, fit_factor_models, predict_mortality
 from .metrics import MetricsReport, cross_validate_lambda, metrics
 from .optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
 from .transforms import (
@@ -255,7 +255,7 @@ def write_scores(
 def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, MetricsReport]]:
     """Full pipeline for the three models; emits the two summary tables,
     the tidy metric series, and the optimizer convergence stream."""
-    data = load_panels(config, min_history())
+    data = load_panels(config, MIN_HISTORY)
     penalties = {
         "factor": 0.0,
         "fair-factor": config.repro_lambda_factor,
@@ -368,7 +368,7 @@ def _forecast_configured(config: RunConfig):
     """Load, fit and forecast the configured model over `horizon` years (the
     test window's length when 0). Returns (prepared data, forecast result,
     per-group factor models, forecast years per group)."""
-    data = load_panels(config, min_history())
+    data = load_panels(config, MIN_HISTORY)
     horizon = config.horizon if config.horizon > 0 else min(p.n_years for p in data.test.panels)
     _, forecasted, models = fit_and_forecast(config, data, config.model, config.values["lambda"], horizon)
     years = {p.group: p.years[-1] + 1 + np.arange(horizon) for p in data.train.panels}
@@ -415,7 +415,7 @@ def read_rates_csv(path: str, years_by_group, ages) -> dict[str, np.ndarray]:
 
 
 def run_evaluate(config: RunConfig, writer: ArtifactWriter):
-    data = load_panels(config, 1 if config.predictions else min_history())  # a predictions file needs no forecast
+    data = load_panels(config, 1 if config.predictions else MIN_HISTORY)  # a predictions file needs no forecast
     penalties = {config.model: config.values["lambda"]}
     reports, _ = write_scores(config, data, writer, penalties, config.predictions)
     return reports[config.model]["mortality"], reports[config.model]["epv"]

@@ -10,7 +10,7 @@ rates. A term of n needs rates at ages i .. i+n-2 only. Every pricing
 function clips its rates into [0, 1] first.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -41,9 +41,9 @@ ANNUITY_MODES = ("taylor", "exact")
 class DecisionTransform:
     """Specification of the decision map g applied to reconstructions.
 
-    kind "identity" leaves values alone, and "annuity" prices an annuity-due
-    of `term` yearly payments at discount factor `discount` on rates
-    exp(y + intercept[group]).
+    kind "identity" leaves values alone and keeps every other field at its
+    default; "annuity" prices an annuity-due of `term` yearly payments at
+    discount factor `discount` on rates exp(y + intercept[group]).
     annuity_mode picks the optimization path: "taylor" freezes the derivative
     weights at the observed rates, "exact" re-prices at every evaluation.
     """
@@ -65,6 +65,11 @@ class DecisionTransform:
                 raise ValueError("annuity transform needs per-group intercepts")
             if self.annuity_mode not in ANNUITY_MODES:
                 raise ValueError(f"unknown annuity mode {self.annuity_mode!r}")
+        else:  # the identity ignores every annuity setting, so one that is set is an error
+            for f in fields(self)[1:]:
+                value = getattr(self, f.name)
+                if value is not f.default and (f.default is None or value != f.default):
+                    raise ValueError(f"an identity transform takes no {f.name}, got {value!r}")
 
     def intercept_for(self, group: str) -> np.ndarray:
         assert self.intercepts is not None

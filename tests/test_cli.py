@@ -13,7 +13,7 @@ from fairfactor.cli import main
 from fairfactor.config import ConfigError, load_config, parse_config_text, resolve_config
 from fairfactor.dataset import DataError, panels_from_csv, synthesize
 from fairfactor.factor import FitResult, Loading
-from fairfactor.forecasting import min_history
+from fairfactor.forecasting import MIN_HISTORY
 from fairfactor.pipeline import read_rates_csv
 from fairfactor.transforms import epv_matrix
 
@@ -400,7 +400,7 @@ def test_train_cutoff_without_a_forecastable_window_is_config_error(tmp_path, ca
     assert record["error"] == "ConfigError"
     message = record["message"]
     assert f"train_cutoff={cutoff}" in message and "1921-2019" in message
-    assert f"at least {min_history()} training years" in message
+    assert f"at least {MIN_HISTORY} training years" in message
     # ingest forecasts nothing: a short window is fine, a cutoff leaving no test year is not
     short_window = cutoff < 2019
     assert run_cli("ingest", *args, "--out", str(tmp_path / "i")) == (0 if short_window else 2)

@@ -184,6 +184,23 @@ def test_degenerate_spectrum_flag():
     assert fit.degenerate_spectrum
 
 
+def test_fit_factors_map_each_group_in_panel_order_to_its_path():
+    # groups out of alphabetical order, with different lengths
+    rng = np.random.default_rng(11)
+    panels = tuple(
+        Panel(g, np.arange(T), np.arange(5), rng.standard_normal((T, 5)), np.zeros(5))
+        for g, T in (("zeta", 7), ("alpha", 4), ("mid", 9))
+    )
+    data = GroupedPanel(panels)
+    fits = [fit_pca(data, 2), fit_fair_factor(data, 2, OptimizerOptions(penalty=1.0, restarts=1, max_iterations=5))]
+    for fit in fits + [FitResult.from_json_dict(fit.to_json_dict()) for fit in fits]:
+        assert isinstance(fit.factors, dict)
+        assert list(fit.factors) == list(fit.groups) == ["zeta", "alpha", "mid"]
+        for p in panels:
+            assert fit.factors[p.group].shape == (p.n_years, 2)
+            assert np.allclose(fit.factors[p.group], p.y @ fit.loading.matrix / 5, rtol=1e-12, atol=1e-14)
+
+
 def test_fit_result_json_round_trip():
     data, _ = synthesize(N=5, r=2, group_sizes=[4, 6], noise_scales=[0.5, 0.2], seed=7)
     fit = fit_pca(data, 2)

@@ -6,11 +6,11 @@ import pytest
 from fairfactor.dataset import GroupedPanel, synthesize
 from fairfactor.factor import fit_pca
 from fairfactor.forecasting import (
+    MIN_HISTORY,
     DriftARModel,
     fit_drift_ar,
     fit_factor_models,
     forecast,
-    min_history,
     predict_mortality,
 )
 from fairfactor.optimizer import OptimizerOptions, fit_fair_factor
@@ -79,16 +79,16 @@ def test_forecast_closed_forms():
 
 def test_forecast_double_differencing():
     # perfect squares: second differences are the constant 2
-    history = np.arange(12, dtype=float) ** 2
-    model = fit_drift_ar(history, p_max=2, d_max=2)
+    history = np.arange(16, dtype=float) ** 2
+    model = fit_drift_ar(history)
     assert model.differencing == 2 and model.order == 0
     assert model.drift == pytest.approx(2.0)
-    assert np.allclose(forecast(model, history, 3), [144.0, 169.0, 196.0])
+    assert np.allclose(forecast(model, history, 3), [256.0, 289.0, 324.0])
 
 
 def test_series_too_short():
-    with pytest.raises(ValueError, match="too short"):
-        fit_drift_ar(np.arange(10.0), p_max=5, d_max=2)
+    with pytest.raises(ValueError, match="series of length 10 is too short: the drift-AR search needs 15"):
+        fit_drift_ar(np.arange(10.0))
 
 
 def test_forecast_determinism():
@@ -131,19 +131,15 @@ def test_predict_mortality_monotone_decline():
 def test_predict_mortality_closed_form_oracle():
     data, truth = synthesize(N=7, r=1, group_sizes=[60, 50], noise_scales=[0.0, 0.0], seed=5)
     fit = fit_fair_factor(data, 1, OptimizerOptions(penalty=0.0, restarts=1, seed=0))
-    # restrict to drift-only candidates: the trending path selects (0, 1),
-    # whose forecasts have the closed form f_T + h * drift
-    models = fit_factor_models(fit, p_max=0, d_max=1)
+    # each group's random walk with drift, its mean difference, forecasts
+    # in the closed form f_T + h * drift
+    drifts = {g: float(np.diff(f[:, 0]).mean()) for g, f in fit.factors.items()}
+    models = {g: [DriftARModel(0, 1, drift, (), 1.0, 0.0)] for g, drift in drifts.items()}
     intercepts = {p.group: p.intercept for p in data.panels}
     h = 6
     out = predict_mortality(fit, models, data, h=h)
-    for f in fit.factors:
-        g = f.group
-        model = models[g][0]
-        assert (model.order, model.differencing) == (0, 1)
-        path = f.matrix[:, 0]
-        drift = float(np.diff(path).mean())
-        assert model.drift == pytest.approx(drift, rel=1e-10)
+    for g, f in fit.factors.items():
+        path, drift = f[:, 0], drifts[g]
         steps = path[-1] + drift * np.arange(1, h + 1)
         analytic = fit.loading.matrix[:, 0][None, :] * steps[:, None] + intercepts[g]
         assert np.allclose(out.log_rates[g], analytic, atol=1e-8)
@@ -186,16 +182,10 @@ def test_forecast_rejects_a_horizon_that_is_not_an_integer(h):
         forecast(DriftARModel(0, 0, 1.7, (), 1.0, 0.0), np.array([5.0, 1.7]), h)
 
 
-@pytest.mark.parametrize("orders", [dict(p_max=1.5), dict(d_max=True), dict(p_max=-1)])
-def test_fit_drift_ar_rejects_orders_that_are_not_non_negative_integers(orders):
-    with pytest.raises(ValueError, match="p_max and d_max must be non-negative integers"):
-        fit_drift_ar(np.arange(40.0), **orders)
-
-
 def test_fit_drift_ar_with_no_finite_candidate_is_rejected():
     # every candidate's sum of squared residuals overflows
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="no admissible drift-AR candidate"):
-        fit_drift_ar(np.array([1e300, -1e300] * 10), p_max=1, d_max=1)
+        fit_drift_ar(np.array([1e300, -1e300] * 10))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -206,7 +196,7 @@ def test_fit_drift_ar_rejects_a_non_finite_series(bad, capfd):
     series[7] = bad
     for values in (series, np.full(20, bad)):
         with pytest.raises(ValueError, match="the drift-AR series holds a non-finite value"):
-            fit_drift_ar(values, 1, 1)
+            fit_drift_ar(values)
     assert capfd.readouterr().err == ""
 
 
@@ -219,10 +209,10 @@ def test_forecast_rejects_a_non_finite_history(bad):
 
 
 def test_fit_drift_ar_skips_a_candidate_with_no_residual_degree_of_freedom():
-    # at min_history() points the (p=5, d=2) candidate fits 7 parameters to 8
+    # at MIN_HISTORY points the (p=5, d=2) candidate fits 7 parameters to 8
     # rows, and its AICc correction would divide by zero; on this walk that
     # candidate's AR polynomial is stationary, so only the skip keeps it out
-    series = np.cumsum(np.random.default_rng(1).standard_normal(min_history()))
+    series = np.cumsum(np.random.default_rng(1).standard_normal(MIN_HISTORY))
     assert len(series) == 15
     model = fit_drift_ar(series)
     assert (model.order, model.differencing) != (5, 2)

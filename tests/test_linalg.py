@@ -77,6 +77,9 @@ def test_orthonormal_fixed_point():
 def test_single_column_normalization():
     A = np.array([[2.0], [0.0]])
     assert np.allclose(nearest_orthonormal(A), [[1.0], [0.0]], atol=1e-14)
+    # a 1-d input is taken as one column
+    Q = nearest_orthonormal(np.array([3.0, 4.0]))
+    assert Q.shape == (2, 1) and np.allclose(Q, [[0.6], [0.8]], atol=1e-14)
 
 
 def test_polar_decomposition_property():

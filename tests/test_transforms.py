@@ -287,6 +287,15 @@ def test_transform_validation():
         annuity_transform(2, 1.5, {"g": np.zeros(3)})
     with pytest.raises(ValueError, match="intercepts"):
         DecisionTransform(kind="annuity", term=2, discount=0.9)
+    # the identity ignores the annuity settings, so setting one is an error
+    identity_settings = [
+        ("term", -3), ("term", 10), ("discount", 7.0), ("discount", np.nan),
+        ("intercepts", {"g": np.zeros(3)}), ("annuity_mode", "bogus"), ("annuity_mode", "exact"),
+    ]
+    for name, value in identity_settings:
+        with pytest.raises(ValueError, match=f"an identity transform takes no {name}, got "):
+            DecisionTransform(kind="identity", **{name: value})
+    assert DecisionTransform(kind="identity", term=0, discount=1.0, annuity_mode="taylor") == identity_transform()
 
 
 @pytest.mark.parametrize("term", [2.5, True, 2.0])
