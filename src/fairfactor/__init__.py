@@ -28,7 +28,6 @@ from .factor import (
     group_errors,
     pairwise_unfairness,
     reconstruction_error,
-    unfairness,
 )
 from .forecasting import (
     DriftARModel,
@@ -58,7 +57,6 @@ from .optimizer import (
 )
 from .transforms import (
     DecisionTransform,
-    annuity_transform,
     annuity_transform_for,
     apply_transform,
     decision_errors,

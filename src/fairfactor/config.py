@@ -13,7 +13,7 @@ from pathlib import Path
 from .dataset import OPEN_AGE_CLASS
 from .transforms import ANNUITY_MODES
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "resolve_config"]
+__all__ = ["ConfigError", "MODELS", "RunConfig", "parse_config_text", "resolve_config"]
 
 DEFAULT_DISCOUNT = 1.0 / 1.05
 
@@ -76,7 +76,7 @@ _SCHEMA: dict[str, tuple] = {
     "jobs": (int, 1, 1),
 }
 
-_MODELS = ("factor", "fair-factor", "fair-decision")
+MODELS = ("factor", "fair-factor", "fair-decision")
 
 # execution details that do not change the scientific result
 _HASH_EXEMPT = ("out", "jobs")
@@ -153,8 +153,8 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
             raise ConfigError(f"{key} must be finite{at_least}, got {raw[key]!r}")
     if not values["cv_lambdas"] or len(set(values["cv_lambdas"])) < len(values["cv_lambdas"]):
         raise ConfigError(f"cv_lambdas must list one or more distinct penalties, got {raw['cv_lambdas']!r}")
-    if values["model"] not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}, got {values['model']!r}")
+    if values["model"] not in MODELS:
+        raise ConfigError(f"model must be one of {MODELS}, got {values['model']!r}")
     if values["annuity_mode"] not in ANNUITY_MODES:
         raise ConfigError(f"annuity_mode must be one of {ANNUITY_MODES}, got {values['annuity_mode']!r}")
     if values["epsilon"] <= 0:

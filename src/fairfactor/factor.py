@@ -21,7 +21,6 @@ __all__ = [
     "fair_factor_dual",
     "reconstruction_error",
     "group_errors",
-    "unfairness",
     "pairwise_unfairness",
     "fix_column_signs",
 ]
@@ -192,10 +191,6 @@ def pairwise_unfairness(errors: np.ndarray):
         for kp in range(k + 1, K):
             total += (errors[..., k] - errors[..., kp]) ** 2
     return float(total) if total.ndim == 0 else total
-
-
-def unfairness(data: GroupedPanel, loading: Loading) -> float:
-    return pairwise_unfairness(group_errors(data, loading))
 
 
 def fit_pca(data: GroupedPanel, r: int) -> FitResult:

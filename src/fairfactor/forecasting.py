@@ -32,22 +32,33 @@ MIN_HISTORY = _P_MAX + _D_MAX + 8  # the shortest series fit_drift_ar accepts
 
 @dataclass(frozen=True)
 class DriftARModel:
-    order: int  # p
     differencing: int  # d
     drift: float
-    ar_coefficients: tuple[float, ...]
+    ar_coefficients: tuple[float, ...]  # phi_1 .. phi_p
     innovation_variance: float
     aicc: float
 
+    def __post_init__(self):
+        if not (_is_integer(self.differencing) and 0 <= self.differencing <= _D_MAX):
+            raise ValueError(f"differencing must be an integer in 0..{_D_MAX}, got {self.differencing!r}")
+        if len(self.ar_coefficients) > _P_MAX:
+            raise ValueError(f"ar_coefficients holds {len(self.ar_coefficients)} values, more than {_P_MAX}")
+        for name in ("drift", "ar_coefficients", "innovation_variance", "aicc"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.innovation_variance < 0.0:
+            raise ValueError(f"innovation_variance must be non-negative, got {self.innovation_variance!r}")
+
+    @property
+    def order(self) -> int:  # p
+        return len(self.ar_coefficients)
+
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "order": self.order}
 
 
 def _is_stationary(coeffs: np.ndarray) -> bool:
-    p = len(coeffs)
-    if p == 0:
-        return True
-    # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside the unit circle;
+    # roots of 1 - phi_1 z - ... - phi_p z^p (none when p = 0) must lie outside the unit circle;
     # roots within 1% of it behave as integrated, so reject and let a higher d
     # carry the trend instead
     roots = np.roots(np.concatenate((-coeffs[::-1], [1.0])))
@@ -105,7 +116,6 @@ def fit_drift_ar(series: np.ndarray) -> DriftARModel:
                 + 2 * k * (k + 1) / (T_eff - k - 1)
             )
             model = DriftARModel(
-                order=p,
                 differencing=d,
                 drift=float(beta[0]),
                 ar_coefficients=tuple(float(c) for c in coeffs),
@@ -132,8 +142,8 @@ def forecast(model: DriftARModel, history: np.ndarray, h: int) -> np.ndarray:
     z = list(np.diff(history, n=d))
     for _ in range(h):
         value = model.drift
-        for lag in range(1, p + 1):
-            value += model.ar_coefficients[lag - 1] * z[-lag]
+        for lag, phi in enumerate(model.ar_coefficients, start=1):
+            value += phi * z[-lag]
         z.append(value)
     steps = np.array(z[len(z) - h :])
     # integrate d times, anchoring each level at the tail of its own history

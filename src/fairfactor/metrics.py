@@ -117,12 +117,6 @@ class CvTable:
     gap_cap: float
     fallback: bool  # no feasible row; chose the smallest-gap one instead
 
-    def row(self, penalty: float) -> CvRow:
-        for r in self.rows:
-            if r.penalty == penalty:
-                return r
-        raise KeyError(penalty)
-
 
 def _fold_indices(n: int, k: int) -> list[np.ndarray]:
     """k contiguous blocks of the rows 0 .. n-1, in order."""

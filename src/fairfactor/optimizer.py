@@ -33,7 +33,7 @@ from .factor import (
     fix_column_signs,
     pairwise_unfairness,
 )
-from .linalg import RankDeficientError, _is_integer, nearest_orthonormal
+from .linalg import _is_integer, nearest_orthonormal
 from .transforms import (
     DecisionTransform,
     apply_transform,
@@ -86,11 +86,7 @@ class OptimizerOptions:
 
 def random_loading(rng: "np.random.Generator", n: int, r: int) -> Loading:
     """Random draw on the scaled orthonormal set (Gaussian then projection)."""
-    while True:
-        try:
-            return Loading(np.sqrt(n) * nearest_orthonormal(rng.standard_normal((n, r))))
-        except RankDeficientError:  # pragma: no cover - probability zero
-            continue
+    return Loading(np.sqrt(n) * nearest_orthonormal(rng.standard_normal((n, r))))
 
 
 def _combine(errors: np.ndarray, rows: np.ndarray, total_rows: int, penalty: float):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import MODELS, ConfigError, RunConfig
 from .dataset import (
     DataError,
     GroupedPanel,
@@ -38,8 +38,6 @@ from .transforms import (
     epv_width,
     identity_transform,
 )
-
-MODEL_ORDER = ("factor", "fair-factor", "fair-decision")
 
 RATES_CSV_HEADER = ["group", "year", "age", "value"]
 
@@ -265,7 +263,7 @@ def run_repro(config: RunConfig, writer: ArtifactWriter) -> dict[str, dict[str, 
 
     def table_rows(quantity: str) -> list[str]:
         rows = []
-        for model in MODEL_ORDER:
+        for model in MODELS:
             report = reports[model][quantity]
             cells = [fmt(v) for v in report.rmse_by_group]
             rows.append(

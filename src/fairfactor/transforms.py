@@ -22,7 +22,6 @@ from .linalg import _is_integer
 __all__ = [
     "DecisionTransform",
     "identity_transform",
-    "annuity_transform",
     "annuity_transform_for",
     "epv_width",
     "epv_annuity",
@@ -46,6 +45,7 @@ class DecisionTransform:
     discount factor `discount` on rates exp(y + intercept[group]).
     annuity_mode picks the optimization path: "taylor" freezes the derivative
     weights at the observed rates, "exact" re-prices at every evaluation.
+    An annuity transform keeps float copies of its intercepts and discount.
     """
 
     kind: str
@@ -60,11 +60,14 @@ class DecisionTransform:
         if self.kind == "annuity":
             if not (_is_integer(self.term) and self.term >= 1):
                 raise ValueError(f"annuity term must be an integer of at least 1, got {self.term!r}")
+            object.__setattr__(self, "discount", float(self.discount))
             _check_discount(self.discount)
             if self.intercepts is None:
                 raise ValueError("annuity transform needs per-group intercepts")
             if self.annuity_mode not in ANNUITY_MODES:
                 raise ValueError(f"unknown annuity mode {self.annuity_mode!r}")
+            frozen = {g: np.array(a, dtype=float) for g, a in self.intercepts.items()}
+            object.__setattr__(self, "intercepts", frozen)
         else:  # the identity ignores every annuity setting, so one that is set is an error
             for f in fields(self)[1:]:
                 value = getattr(self, f.name)
@@ -74,7 +77,7 @@ class DecisionTransform:
     def intercept_for(self, group: str) -> np.ndarray:
         assert self.intercepts is not None
         try:
-            return np.asarray(self.intercepts[group], dtype=float)
+            return self.intercepts[group]
         except KeyError:
             raise KeyError(f"annuity transform has no intercept for group {group!r}") from None
 
@@ -83,23 +86,11 @@ def identity_transform() -> DecisionTransform:
     return DecisionTransform(kind="identity")
 
 
-def annuity_transform(
-    term: int,
-    discount: float,
-    intercepts: Mapping[str, np.ndarray],
-    annuity_mode: str = "taylor",
-) -> DecisionTransform:
-    frozen = {g: np.asarray(a, dtype=float).copy() for g, a in intercepts.items()}
-    return DecisionTransform(
-        kind="annuity", term=term, discount=float(discount), intercepts=frozen, annuity_mode=annuity_mode
-    )
-
-
 def annuity_transform_for(data: GroupedPanel, term: int, discount: float, annuity_mode: str = "taylor") -> DecisionTransform:
     """Annuity transform carrying the panels' own intercepts."""
     if term > data.n_ages:
         raise ValueError(f"term {term} exceeds the {data.n_ages} available ages")
-    return annuity_transform(term, discount, {p.group: p.intercept for p in data.panels}, annuity_mode)
+    return DecisionTransform("annuity", term, discount, {p.group: p.intercept for p in data.panels}, annuity_mode)
 
 
 def _check_discount(v: float) -> None:

@@ -730,6 +730,24 @@ def test_evaluate_real_forecast(tmp_path, hmd_file):
     assert all(v > 0 for v in totals)
 
 
+@pytest.mark.parametrize("model", ["factor", "fair-decision"])
+def test_evaluate_of_forecasts_own_rates_matches_plain_evaluate(tmp_path, hmd_file, model):
+    # the forecast -> evaluate round trip: scoring forecast_rates.csv as the
+    # predictions reproduces evaluate's own metrics below the header line
+    cfg = write_cfg(tmp_path, f"data={hmd_file}\nmodel={model}\nmax_iterations=50\n")
+    forecast_dir, plain, given = tmp_path / "f", tmp_path / "e", tmp_path / "p"
+    assert run_cli("forecast", "--config", str(cfg), "--out", str(forecast_dir)) == 0
+    assert run_cli("evaluate", "--config", str(cfg), "--out", str(plain)) == 0
+    predictions = f"predictions={forecast_dir / 'forecast_rates.csv'}"
+    assert run_cli("evaluate", "--config", str(cfg), "--set", predictions, "--out", str(given)) == 0
+    plain_lines = (plain / "metrics.csv").read_text().splitlines()
+    assert len(plain_lines) > 2
+    assert (given / "metrics.csv").read_text().splitlines()[1:] == plain_lines[1:]
+    plain_json, given_json = (json.loads((d / "metrics.json").read_text()) for d in (plain, given))
+    assert plain_json.pop("meta") != given_json.pop("meta")
+    assert given_json == plain_json
+
+
 def test_repro_schema_and_determinism(tmp_path, hmd_file):
     cfg = write_cfg(
         tmp_path,

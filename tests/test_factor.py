@@ -14,7 +14,6 @@ from fairfactor.factor import (
     group_errors,
     pairwise_unfairness,
     reconstruction_error,
-    unfairness,
 )
 from fairfactor.linalg import nearest_orthonormal
 from fairfactor.optimizer import OptimizerOptions, fit_fair_decision, fit_fair_factor
@@ -152,7 +151,7 @@ def test_unfairness_on_identical_groups():
     y = rng.standard_normal((4, 3))
     data = panel_pair(y, y.copy())
     L = random_loading(rng, 3, 1)
-    assert unfairness(data, L) <= 1e-24
+    assert pairwise_unfairness(group_errors(data, L)) <= 1e-24
 
 
 def test_total_group_error_identity():

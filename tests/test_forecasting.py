@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from fairfactor.forecasting import (
     predict_mortality,
 )
 from fairfactor.optimizer import OptimizerOptions, fit_fair_factor
-from fairfactor.transforms import annuity_transform, apply_transform, epv_matrix, epv_width
+from fairfactor.transforms import DecisionTransform, apply_transform, epv_matrix, epv_width
 
 
 def test_constant_series():
@@ -64,13 +65,13 @@ def test_aicc_selection_sanity_floor():
 
 
 def test_forecast_closed_forms():
-    mean_model = DriftARModel(0, 0, 1.7, (), 1.0, 0.0)
+    mean_model = DriftARModel(0, 1.7, (), 1.0, 0.0)
     assert np.allclose(forecast(mean_model, np.array([5.0, 1.7]), 3), 1.7)
 
-    rw = DriftARModel(0, 1, 2.0, (), 1.0, 0.0)
+    rw = DriftARModel(1, 2.0, (), 1.0, 0.0)
     assert np.allclose(forecast(rw, np.array([4.0, 10.0]), 3), [12.0, 14.0, 16.0])
 
-    ar1 = DriftARModel(1, 0, 0.0, (0.5,), 1.0, 0.0)
+    ar1 = DriftARModel(0, 0.0, (0.5,), 1.0, 0.0)
     assert np.allclose(forecast(ar1, np.array([3.0, 8.0]), 3), [4.0, 2.0, 1.0])
 
     with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ def test_predict_mortality_constant_factors():
     data, _ = synthesize(N=6, r=1, group_sizes=[30, 30], noise_scales=[0.0, 0.0], seed=3)
     fit = fit_pca(data, 1)
     # constant factor path: forecasts repeat the last fitted log rates
-    models = {g: [DriftARModel(0, 1, 0.0, (), 1.0, 0.0)] for g in data.groups}
+    models = {g: [DriftARModel(1, 0.0, (), 1.0, 0.0)] for g in data.groups}
     out = predict_mortality(fit, models, data, h=4)
     for p in data.panels:
         last_log = (p.y @ fit.loading.projector())[-1] + p.intercept
@@ -119,7 +120,7 @@ def test_predict_mortality_monotone_decline():
     drift = -0.2 if np.all(col > 0) else 0.2 if np.all(col < 0) else None
     if drift is None:  # mixed-sign loading: pick a sign and check per age below
         drift = -0.2
-    models = {g: [DriftARModel(0, 1, drift, (), 1.0, 0.0)] for g in data.groups}
+    models = {g: [DriftARModel(1, drift, (), 1.0, 0.0)] for g in data.groups}
     out = predict_mortality(fit, models, data, h=5)
     for g, log_m in out.log_rates.items():
         diffs = np.diff(log_m, axis=0)
@@ -134,7 +135,7 @@ def test_predict_mortality_closed_form_oracle():
     # each group's random walk with drift, its mean difference, forecasts
     # in the closed form f_T + h * drift
     drifts = {g: float(np.diff(f[:, 0]).mean()) for g, f in fit.factors.items()}
-    models = {g: [DriftARModel(0, 1, drift, (), 1.0, 0.0)] for g, drift in drifts.items()}
+    models = {g: [DriftARModel(1, drift, (), 1.0, 0.0)] for g, drift in drifts.items()}
     intercepts = {p.group: p.intercept for p in data.panels}
     h = 6
     out = predict_mortality(fit, models, data, h=h)
@@ -153,7 +154,7 @@ def test_predict_mortality_clipping_counted():
     data, _ = synthesize(N=4, r=1, group_sizes=[30, 30], noise_scales=[0.0, 0.0], seed=6)
     fit = fit_pca(data, 1)
     data = GroupedPanel(tuple(replace(p, intercept=np.full(4, 5.0)) for p in data.panels))  # forces rates > 1
-    models = {g: [DriftARModel(0, 1, 0.0, (), 1.0, 0.0)] for g in data.groups}
+    models = {g: [DriftARModel(1, 0.0, (), 1.0, 0.0)] for g in data.groups}
     out = predict_mortality(fit, models, data, h=2)
     assert out.clipped > 0
     for m in out.rates.values():
@@ -168,7 +169,7 @@ def test_predict_epv_trivial_and_consistency():
 
     assert np.allclose(epv_matrix(np.zeros((2, 6)), 4, 1.0), 4.0)
 
-    g = annuity_transform(5, 0.95, {k: np.zeros(8) for k in rates})
+    g = DecisionTransform(kind="annuity", term=5, discount=0.95, intercepts={k: np.zeros(8) for k in rates})
     for k, m in rates.items():
         via_transform = apply_transform(g, k, np.log(m))
         assert via_transform.shape == (3, epv_width(8, 5))
@@ -179,7 +180,7 @@ def test_predict_epv_trivial_and_consistency():
 def test_forecast_rejects_a_horizon_that_is_not_an_integer(h):
     # 2.5 used to fail inside range() with a TypeError
     with pytest.raises(ValueError, match="forecast horizon h must be an integer"):
-        forecast(DriftARModel(0, 0, 1.7, (), 1.0, 0.0), np.array([5.0, 1.7]), h)
+        forecast(DriftARModel(0, 1.7, (), 1.0, 0.0), np.array([5.0, 1.7]), h)
 
 
 def test_fit_drift_ar_with_no_finite_candidate_is_rejected():
@@ -203,7 +204,7 @@ def test_fit_drift_ar_rejects_a_non_finite_series(bad, capfd):
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_forecast_rejects_a_non_finite_history(bad):
     # forecast(model, [1, nan, 2], 2) used to return [2.1, 2.2]
-    model = DriftARModel(0, 1, 0.1, (), 1.0, 0.0)
+    model = DriftARModel(1, 0.1, (), 1.0, 0.0)
     with pytest.raises(ValueError, match="the forecast history holds a non-finite value"):
         forecast(model, np.array([1.0, bad, 2.0]), 2)
 
@@ -220,7 +221,7 @@ def test_fit_drift_ar_skips_a_candidate_with_no_residual_degree_of_freedom():
 
 
 def test_forecast_rejects_a_history_shorter_than_the_model():
-    model = DriftARModel(2, 1, 0.0, (0.5, 0.1), 1.0, 0.0)
+    model = DriftARModel(1, 0.0, (0.5, 0.1), 1.0, 0.0)
     with pytest.raises(ValueError, match="history of length 2 too short"):
         forecast(model, np.array([1.0, 2.0]), 1)
 
@@ -236,3 +237,40 @@ def test_predict_mortality_rejects_missing_or_mismatched_models():
     other = GroupedPanel((data.panels[0], replace(data.panels[1], group="g3")))
     with pytest.raises(KeyError, match="no training panel for group 'g2'"):
         predict_mortality(fit, models, other, 3)
+
+
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        (dict(differencing=3), "differencing must be an integer in 0..2, got 3"),
+        (dict(differencing=-1), "differencing must be an integer in 0..2, got -1"),
+        (dict(differencing=1.0), "differencing must be an integer in 0..2, got 1.0"),
+        (dict(differencing=True), "differencing must be an integer in 0..2, got True"),
+        (dict(ar_coefficients=(0.1,) * 6), "ar_coefficients holds 6 values, more than 5"),
+        (dict(drift=np.nan), "drift must be finite"),
+        (dict(drift=np.inf), "drift must be finite"),
+        (dict(ar_coefficients=(0.5, np.nan)), "ar_coefficients must be finite"),
+        (dict(innovation_variance=np.inf), "innovation_variance must be finite"),
+        (dict(innovation_variance=np.nan), "innovation_variance must be finite"),
+        (dict(aicc=-np.inf), "aicc must be finite"),
+        (dict(innovation_variance=-1.0), "innovation_variance must be non-negative, got -1.0"),
+    ],
+)
+def test_drift_ar_model_rejects_fields_outside_its_family(fields, fragment):
+    # DriftARModel(0, 0, nan, (), 1.0, 0.0) used to forecast [nan, nan], and
+    # an order beside too few coefficients raised a bare IndexError
+    valid = dict(differencing=1, drift=0.1, ar_coefficients=(0.5,), innovation_variance=1.0, aicc=0.0)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        DriftARModel(**{**valid, **fields})
+
+
+def test_drift_ar_model_order_is_its_number_of_coefficients():
+    model = DriftARModel(1, 0.0, (0.5, 0.1), 0.0, -3.0)
+    assert model.order == 2
+    assert model.to_json_dict() == {
+        "order": 2, "differencing": 1, "drift": 0.0, "ar_coefficients": (0.5, 0.1),
+        "innovation_variance": 0.0, "aicc": -3.0,
+    }
+    series = np.cumsum(np.random.default_rng(3).standard_normal(60))
+    fitted = fit_drift_ar(series)
+    assert fitted.to_json_dict()["order"] == len(fitted.ar_coefficients)

@@ -106,7 +106,7 @@ def test_cv_disparity_prefers_positive_penalty():
         g=identity_transform(),
         opts=OptimizerOptions(restarts=3, seed=0),
     )
-    assert not table.row(0.0).feasible
+    assert table.rows[0].penalty == 0.0 and not table.rows[0].feasible
     assert table.chosen > 0.0
 
 
@@ -227,7 +227,8 @@ def test_cv_annuity_fold_scores_match_brute_force_pricing(groups):
                 total += (predicted - epv_annuity(np.exp(y[t] + a), i, term, v)) ** 2
         return total
 
-    for lam in grid:
+    assert [row.penalty for row in table.rows] == grid
+    for lam, row in zip(grid, table.rows):
         errors, gaps = [], []
         for j in range(k):
             folds = [np.array_split(np.arange(p.n_years), k)[j] for p in data.panels]
@@ -239,7 +240,6 @@ def test_cv_annuity_fold_scores_match_brute_force_pricing(groups):
             errors.append(sum(sq) / sum(len(f) for f in folds))
             per_group = [e / len(f) for e, f in zip(sq, folds)]
             gaps.append(max(abs(a - b) for a, b in combinations(per_group, 2)))
-        row = table.row(lam)
         assert row.cv_error == pytest.approx(np.mean(errors), rel=1e-10)
         assert row.mean_gap == pytest.approx(np.mean(gaps), rel=1e-10)
 
@@ -266,12 +266,3 @@ def test_cv_rejects_an_empty_penalty_grid():
     data, _ = synthesize(N=4, r=1, group_sizes=[5, 5], noise_scales=[1, 1], seed=9)
     with pytest.raises(ValueError, match="empty penalty grid"):
         cross_validate_lambda(data, 1, [], k=2, lambda_cap=None, g=identity_transform(), opts=quick_opts())
-
-
-def test_cv_table_row_of_an_absent_penalty_is_a_key_error():
-    from fairfactor.metrics import CvRow, CvTable
-
-    table = CvTable(rows=(CvRow(0.0, 1.0, 0.5, True),), chosen=0.0, gap_cap=1.0, fallback=False)
-    assert table.row(0.0).cv_error == 1.0
-    with pytest.raises(KeyError, match="2.0"):
-        table.row(2.0)

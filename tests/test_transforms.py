@@ -5,7 +5,7 @@ from fairfactor.dataset import GroupedPanel, Panel
 from fairfactor.factor import Loading, group_errors
 from fairfactor.linalg import nearest_orthonormal
 from fairfactor.transforms import (
-    annuity_transform,
+    DecisionTransform,
     apply_transform,
     decision_errors,
     epv_annuity,
@@ -109,7 +109,7 @@ def test_epv_kernels_reject_a_discount_outside_the_unit_interval(v):
         lambda: epv_weights_stack(M, 3, v),
         lambda: epv_weights(M[0], 3, v),
         lambda: epv_annuity(M[0], 0, 3, v),
-        lambda: annuity_transform(3, v, {"g": np.zeros(4)}),
+        lambda: DecisionTransform(kind="annuity", term=3, discount=v, intercepts={"g": np.zeros(4)}),
     ]
     for kernel in kernels:
         with pytest.raises(ValueError, match=r"discount factor must lie in \(0, 1\]"):
@@ -172,13 +172,27 @@ def test_apply_identity_and_annuity():
     y = np.array([[0.1, -0.2, 0.05], [0.3, 0.4, -0.1]])
     assert np.array_equal(apply_transform(identity_transform(), "g1", y), y)
     intercept = np.array([-3.0, -2.5, -2.0])
-    out = apply_transform(annuity_transform(2, 0.9, {"g1": intercept}), "g1", y)
+    g = DecisionTransform(kind="annuity", term=2, discount=0.9, intercepts={"g1": intercept})
+    out = apply_transform(g, "g1", y)
     assert np.array_equal(out, epv_matrix(np.exp(y + intercept), 2, 0.9))
+
+
+def test_annuity_transform_owns_float_copies_of_its_intercepts():
+    # a transform used to keep the caller's array, so mutating it moved the price
+    a = np.array([-3, -2, -1])
+    g = DecisionTransform(kind="annuity", term=2, discount=np.float64(0.9), intercepts={"g": a})
+    y = np.zeros((2, 3))
+    before = apply_transform(g, "g", y)
+    a[:] = 1
+    assert np.array_equal(apply_transform(g, "g", y), before)
+    assert np.array_equal(before, epv_matrix(np.exp(y + [-3.0, -2.0, -1.0]), 2, 0.9))
+    assert g.intercept_for("g").dtype == np.float64
+    assert type(g.discount) is float
 
 
 def test_apply_annuity_single_payment_all_ones():
     y = np.random.default_rng(5).normal(size=(3, 6))
-    g = annuity_transform(1, 0.9, {"g1": np.zeros(6)})
+    g = DecisionTransform(kind="annuity", term=1, discount=0.9, intercepts={"g1": np.zeros(6)})
     out = apply_transform(g, "g1", y)
     assert out.shape == (3, 6)
     assert np.all(out == 1.0)
@@ -188,14 +202,14 @@ def test_apply_annuity_constant_half():
     # intercept + y chosen so exp(y + a) = 0.5 everywhere
     N = 5
     a = np.full(N, np.log(0.5))
-    g = annuity_transform(3, 1.0, {"g1": a})
+    g = DecisionTransform(kind="annuity", term=3, discount=1.0, intercepts={"g1": a})
     out = apply_transform(g, "g1", np.zeros((4, N)))
     assert out.shape == (4, epv_width(N, 3))
     assert np.allclose(out, 1.75)
 
 
 def test_apply_annuity_unknown_group():
-    g = annuity_transform(2, 1.0, {"g1": np.zeros(4)})
+    g = DecisionTransform(kind="annuity", term=2, discount=1.0, intercepts={"g1": np.zeros(4)})
     with pytest.raises(KeyError, match="g2"):
         apply_transform(g, "g2", np.zeros((2, 4)))
 
@@ -233,7 +247,7 @@ def test_decision_errors_zero_in_span():
             Panel("g2", np.arange(4), np.arange(N), y.copy(), a.copy()),
         )
     )
-    g = annuity_transform(3, 0.95, {"g1": a, "g2": a})
+    g = DecisionTransform(kind="annuity", term=3, discount=0.95, intercepts={"g1": a, "g2": a})
     assert np.all(decision_errors(data, L, g) <= 1e-20)
 
 
@@ -242,7 +256,7 @@ def test_decision_errors_annuity_brute_force():
     data = make_grouped(rng, T1=4, T2=3, N=6)
     L = Loading(np.sqrt(6) * nearest_orthonormal(rng.standard_normal((6, 1))))
     n, v = 3, 0.9
-    g = annuity_transform(n, v, {p.group: p.intercept for p in data.panels})
+    g = DecisionTransform(kind="annuity", term=n, discount=v, intercepts={p.group: p.intercept for p in data.panels})
     got = decision_errors(data, L, g)
     P = L.projector()
     for k, p in enumerate(data.panels):
@@ -275,16 +289,14 @@ def test_taylor_error_converges_quadratically():
 
 
 def test_transform_validation():
-    from fairfactor.transforms import DecisionTransform
-
     with pytest.raises(ValueError, match="kind"):
         DecisionTransform(kind="mystery")
     with pytest.raises(ValueError, match="kind"):  # identity and annuity are the only kinds
         DecisionTransform(kind="elementwise")
     with pytest.raises(ValueError, match="term"):
-        annuity_transform(0, 1.0, {"g": np.zeros(3)})
+        DecisionTransform(kind="annuity", term=0, discount=1.0, intercepts={"g": np.zeros(3)})
     with pytest.raises(ValueError, match="discount"):
-        annuity_transform(2, 1.5, {"g": np.zeros(3)})
+        DecisionTransform(kind="annuity", term=2, discount=1.5, intercepts={"g": np.zeros(3)})
     with pytest.raises(ValueError, match="intercepts"):
         DecisionTransform(kind="annuity", term=2, discount=0.9)
     # the identity ignores the annuity settings, so setting one is an error
@@ -302,7 +314,7 @@ def test_transform_validation():
 def test_annuity_transform_rejects_a_term_that_is_not_an_integer(term):
     # 2.5 used to price a 2-year term and True a 1-year term
     with pytest.raises(ValueError, match="annuity term must be an integer"):
-        annuity_transform(term, 0.9, {"g": np.zeros(3)})
+        DecisionTransform(kind="annuity", term=term, discount=0.9, intercepts={"g": np.zeros(3)})
 
 
 @pytest.mark.parametrize("n", [2.5, True])
@@ -314,7 +326,7 @@ def test_epv_width_rejects_a_term_that_is_not_an_integer(n):
 
 def test_annuity_transform_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown annuity mode 'fast'"):
-        annuity_transform(2, 0.9, {"g": np.zeros(3)}, annuity_mode="fast")
+        DecisionTransform(kind="annuity", term=2, discount=0.9, intercepts={"g": np.zeros(3)}, annuity_mode="fast")
 
 
 def test_annuity_transform_for_rejects_a_term_longer_than_the_ages():
